@@ -134,7 +134,9 @@ func runBenchDiff(basePath, freshPath string, nsTol float64) error {
 	// twins: fan-out buys nothing, so a /par ns/op sitting on top of /seq is
 	// the expected shape, not a regression signal. Say so on every /par line
 	// rather than leaving the reader to reverse-engineer it from the header.
-	oneCPU := base.CPUs == 1 || fresh.CPUs == 1
+	// Only the fresh run's CPU count decides: the note describes the
+	// numbers printed on the line, which are the fresh run's.
+	oneCPU := fresh.CPUs == 1
 	failures := 0
 	for _, b := range base.Benches {
 		f, ok := freshBy[b.Name]

@@ -59,6 +59,7 @@ import (
 	"strings"
 
 	isegen "repro"
+	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -240,18 +241,9 @@ func run(ctx context.Context, path string, p service.Params, dotFile, cacheDir s
 		// (default: reuse-aware scoring).
 		cfg := isegen.DefaultConfig()
 		cfg.MaxIn, cfg.MaxOut, cfg.NISE, cfg.Workers = p.MaxIn, p.MaxOut, p.NISE, p.Workers
-		if !p.Reuse {
-			cuts, fr, err := isegen.GenerateCutsOnlyWithObjectiveContext(ctx, app, cfg, p.Objective, p.ObjectiveParams(), cache)
-			if err != nil {
-				return err
-			}
-			sels, frontier = service.SingleInstanceSelections(app, cuts), fr
-		} else {
-			res, err := isegen.GenerateWithObjectiveContext(ctx, app, cfg, p.Objective, p.ObjectiveParams(), cache)
-			if err != nil {
-				return err
-			}
-			sels, frontier = res.Selections, res.Frontier
+		r := &isegen.Runner{Workers: p.Workers, Cache: cache}
+		if sels, frontier, err = r.Select(ctx, app, cfg, p.Objective, p.ObjectiveParams(), p.Reuse); err != nil {
+			return err
 		}
 	} else {
 		// Baselines operate per block through the unified engine
@@ -281,7 +273,7 @@ func run(ctx context.Context, path string, p service.Params, dotFile, cacheDir s
 			return err
 		}
 		if !p.Reuse {
-			sels = service.SingleInstanceSelections(app, cuts)
+			sels = eval.SingleInstanceSelections(app, cuts)
 		} else {
 			blockIdx := map[*isegen.Block]int{}
 			for i, b := range app.Blocks {

@@ -193,3 +193,21 @@ func ClaimAllWithReuse(app *ir.Application, cuts []*core.Cut, blockIdxOf func(*c
 	}
 	return sels
 }
+
+// SingleInstanceSelections converts cuts into Selections counting each
+// cut once in its own block (no reuse claiming) — the shape the no-reuse
+// flows and the per-block baselines share.
+func SingleInstanceSelections(app *ir.Application, cuts []*core.Cut) []Selection {
+	blockIdx := make(map[*ir.Block]int, len(app.Blocks))
+	for i, b := range app.Blocks {
+		blockIdx[b] = i
+	}
+	sels := make([]Selection, 0, len(cuts))
+	for _, c := range cuts {
+		sels = append(sels, Selection{
+			Cut:       c,
+			Instances: []reuse.Instance{{BlockIdx: blockIdx[c.Block], Nodes: c.Nodes}},
+		})
+	}
+	return sels
+}

@@ -183,3 +183,15 @@ func RelativeError(a, b float64) float64 {
 	den := math.Max(math.Max(math.Abs(a), math.Abs(b)), 1e-12)
 	return math.Abs(a-b) / den
 }
+
+// InstancesByBlock groups the claimed instances of the selections by
+// block index — the per-block AFU placement the simulator runs.
+func InstancesByBlock(sels []Selection) map[int][]*graph.BitSet {
+	instances := map[int][]*graph.BitSet{}
+	for _, sel := range sels {
+		for _, inst := range sel.Instances {
+			instances[inst.BlockIdx] = append(instances[inst.BlockIdx], inst.Nodes)
+		}
+	}
+	return instances
+}

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -556,11 +555,4 @@ func PrintSim(w io.Writer, rows []SimRow) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-16s %10.3f %10.3f %7.2f%%\n", r.Benchmark, r.Estimated, r.Simulated, 100*r.RelErr)
 	}
-}
-
-// SortRowsByNodes orders Figure 4 rows like the paper (ascending block
-// size); kernels.All already returns them sorted, this is a safety net for
-// callers assembling rows themselves.
-func SortRowsByNodes(rows []Fig4Row) {
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Nodes < rows[j].Nodes })
 }

@@ -1,9 +1,9 @@
 package experiments
 
 import (
-	"repro/internal/core"
+	"context"
+
 	"repro/internal/eval"
-	"repro/internal/graph"
 	"repro/internal/ir"
 	"repro/internal/search"
 	"repro/internal/sim"
@@ -20,25 +20,13 @@ func generateWithReuse(app *ir.Application, o Options, cache *search.CostCache) 
 	return eval.Evaluate(app, o.Model, sels)
 }
 
-// selectionsWithReuse is the shared ISEGEN-with-reuse pipeline: the
-// search.Runner driver under the reuse-aware objective, claiming every
-// isomorphic instance of each selected cut.
+// selectionsWithReuse is the shared ISEGEN-with-reuse pipeline:
+// search.Runner.Select under the default reuse-aware objective, claiming
+// every isomorphic instance of each selected cut.
 func selectionsWithReuse(app *ir.Application, o Options, cache *search.CostCache) ([]eval.Selection, error) {
-	cfg := o.isegenConfig()
-	var sels []eval.Selection
-	claimer := eval.NewClaimer(app)
-	r := &search.Runner{Workers: cfg.Workers, Cache: cache}
-	_, _, err := r.Generate(app, cfg, search.ReuseAware(app, o.Model, claimer),
-		func(bi int, cut *core.Cut, excluded []*graph.BitSet) {
-			sel := claimer.Claim(bi, cut, excluded)
-			if len(sel.Instances) > 0 {
-				sels = append(sels, sel)
-			}
-		})
-	if err != nil {
-		return nil, err
-	}
-	return sels, nil
+	r := &search.Runner{Workers: o.Workers, Cache: cache}
+	sels, _, err := r.Select(context.Background(), app, o.isegenConfig(), "", search.ObjectiveParams{}, true)
+	return sels, err
 }
 
 // generateWithReuseRestarts is the restart-ablation pipeline: cuts are
@@ -48,16 +36,8 @@ func selectionsWithReuse(app *ir.Application, o Options, cache *search.CostCache
 func generateWithReuseRestarts(app *ir.Application, o Options, restarts int, cache *search.CostCache) (*eval.Report, error) {
 	cfg := o.isegenConfig()
 	cfg.Restarts = restarts
-	var sels []eval.Selection
-	claimer := eval.NewClaimer(app)
 	r := &search.Runner{Workers: cfg.Workers, Cache: cache}
-	_, _, err := r.Generate(app, cfg, search.Merit(o.Model),
-		func(bi int, cut *core.Cut, excluded []*graph.BitSet) {
-			sel := claimer.Claim(bi, cut, excluded)
-			if len(sel.Instances) > 0 {
-				sels = append(sels, sel)
-			}
-		})
+	sels, _, err := r.Select(context.Background(), app, cfg, "merit", search.ObjectiveParams{}, true)
 	if err != nil {
 		return nil, err
 	}
@@ -74,13 +54,7 @@ func simOne(name string, app *ir.Application, o Options) (SimRow, error) {
 	if err != nil {
 		return SimRow{}, err
 	}
-	instances := map[int][]*graph.BitSet{}
-	for _, sel := range sels {
-		for _, inst := range sel.Instances {
-			instances[inst.BlockIdx] = append(instances[inst.BlockIdx], inst.Nodes)
-		}
-	}
-	simRes, err := sim.RunApp(app, o.Model, instances)
+	simRes, err := sim.RunApp(app, o.Model, eval.InstancesByBlock(sels))
 	if err != nil {
 		return SimRow{}, err
 	}

@@ -292,7 +292,7 @@ var objectiveFactories = map[string]func(app *ir.Application, model *latency.Mod
 //
 // A registry-built "reuse" objective scores through a private Claimer: it
 // is exact for cuts-only drives (nothing ever claims), while the full
-// reuse pipeline (isegen.Generate) wires the shared claimer itself so
+// reuse pipeline (Runner.Select) wires the shared claimer itself so
 // scoring sees claimed state.
 func NewObjective(name string, app *ir.Application, model *latency.Model, p ObjectiveParams) (*Objective, error) {
 	f, ok := objectiveFactories[name]

@@ -226,6 +226,7 @@ func (e *Racing) RunContext(ctx context.Context, blk *ir.Block, obj *Objective, 
 			MaxIn: lim.MaxIn, MaxOut: lim.MaxOut, Model: obj.Model,
 			Seed: 1, // the registry's default genetic seed
 			Stop: func() bool { return raceCtx.Err() != nil },
+			Obs:  rec,
 		}
 		if e.Cache != nil {
 			gopt.Metrics = e.Cache.Metrics

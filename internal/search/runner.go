@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/ir"
@@ -268,6 +269,61 @@ func (r *Runner) GenerateContext(ctx context.Context, app *ir.Application, cfg c
 	stats.Cuts = len(cuts)
 	stats.Duration = time.Since(start)
 	return cuts, stats, nil
+}
+
+// Select is the paper's whole ISEGEN flow (Figure 1): the greedy drive of
+// GenerateContext under the named registry objective, turning each
+// selected cut into a Selection. It is the one path from (objective,
+// reuse) to selections that the facade, the service, the CLI and the
+// experiment harnesses share.
+//
+// With reuse, every selected cut claims each disjoint schedulable
+// isomorphic instance across the application; a cut with no claimable
+// instance (each would close a dependency cycle with earlier claims)
+// yields no selection, and its nodes stay excluded so the drive moves on.
+// The empty objective and "reuse" then score through that same claiming
+// Claimer, so scores see claimed state. Without reuse, each cut counts
+// once in its own block, the empty objective means "merit", and "reuse"
+// scores through a private Claimer (exact, since nothing claims).
+//
+// The Frontier is non-nil only for multi-objective runs ("pareto").
+func (r *Runner) Select(ctx context.Context, app *ir.Application, cfg core.Config, objective string, p ObjectiveParams, reuse bool) ([]eval.Selection, *Frontier, error) {
+	var claimer *eval.Claimer
+	var obj *Objective
+	if reuse {
+		claimer = eval.NewClaimer(app)
+		if objective == "" || objective == "reuse" {
+			obj = ReuseAware(app, cfg.Model, claimer)
+		}
+	} else if objective == "" {
+		objective = "merit"
+	}
+	if obj == nil {
+		var err error
+		if obj, err = NewObjective(objective, app, cfg.Model, p); err != nil {
+			return nil, nil, err
+		}
+	}
+	var sels []eval.Selection
+	var claim ClaimFunc
+	if claimer != nil {
+		claim = func(bi int, cut *core.Cut, excluded []*graph.BitSet) {
+			// The seed itself is already excluded by the driver; the
+			// claimer finds every other instance among available nodes
+			// (and re-admits the seed occurrence), extending excluded.
+			if sel := claimer.Claim(bi, cut, excluded); len(sel.Instances) > 0 {
+				sels = append(sels, sel)
+			}
+		}
+	}
+	cuts, stats, err := r.GenerateContext(ctx, app, cfg, obj, claim)
+	if err != nil {
+		return nil, nil, err
+	}
+	if claimer == nil {
+		sels = eval.SingleInstanceSelections(app, cuts)
+	}
+	return sels, stats.Frontier, nil
 }
 
 // RunBlocks runs RunBlocksContext under context.Background().

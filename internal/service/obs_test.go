@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/dfgio"
+	"repro/internal/ir"
 	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/search"
@@ -32,16 +33,24 @@ func TestRecordingDoesNotPerturbOutput(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(*Params)
+		app  *ir.Application // nil runs fbital00
 	}{
-		{"isegen-w1", func(p *Params) { p.Workers = 1 }},
-		{"isegen-w3", func(p *Params) { p.Workers = 3 }},
-		{"iterative", func(p *Params) { p.Algo = "iterative" }},
-		{"genetic", func(p *Params) { p.Algo, p.Seed, p.Workers = "genetic", 7, 2 }},
+		{"isegen-w1", func(p *Params) { p.Workers = 1 }, nil},
+		{"isegen-w3", func(p *Params) { p.Workers = 3 }, nil},
+		{"iterative", func(p *Params) { p.Algo = "iterative" }, nil},
+		{"genetic", func(p *Params) { p.Algo, p.Seed, p.Workers = "genetic", 7, 2 }, nil},
+		// viterb00's exact proof takes long enough that the genetic racer
+		// always starts before the race is decided.
+		{"racing", func(p *Params) { p.Algo = "racing" }, kernels.Viterb00()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := DefaultParams()
 			tc.mut(&p)
+			app := app
+			if tc.app != nil {
+				app = tc.app
+			}
 
 			var off bytes.Buffer
 			if err := Run(context.Background(), app, p, search.NewCostCache(), NDJSONEmitter(&off)); err != nil {
@@ -55,8 +64,18 @@ func TestRecordingDoesNotPerturbOutput(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if !bytes.Equal(on.Bytes(), off.Bytes()) {
-				t.Fatalf("recording-on stream differs from recording-off\non:\n%s\noff:\n%s", on.Bytes(), off.Bytes())
+			got, want := on.Bytes(), off.Bytes()
+			if p.Algo == "racing" {
+				_, onRest := splitRaceStream(t, got)
+				_, offRest := splitRaceStream(t, want)
+				got, want = bytes.Join(onRest, []byte("\n")), bytes.Join(offRest, []byte("\n"))
+				// The genetic racer must report into the job's recorder.
+				if n := rec.Counters().Get(obs.GeneticEvaluations); n == 0 {
+					t.Fatal("racing job recorded no genetic evaluations")
+				}
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("recording-on stream differs from recording-off\non:\n%s\noff:\n%s", got, want)
 			}
 			// Guard against a vacuous pass: the recorder must actually have
 			// observed the run.

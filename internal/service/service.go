@@ -27,13 +27,14 @@ import (
 	"sync"
 	"time"
 
-	isegen "repro"
 	"repro/internal/core"
 	"repro/internal/dfgio"
+	"repro/internal/eval"
 	"repro/internal/fault"
 	"repro/internal/ir"
 	"repro/internal/latency"
 	"repro/internal/obs"
+	"repro/internal/reuse"
 	"repro/internal/search"
 )
 
@@ -192,8 +193,8 @@ func orDefault(objective string) string {
 // ObjectiveParams assembles the registry construction parameters from the
 // job params — the one conversion both the serving layer and the CLI use,
 // so a future objective knob cannot reach one surface and not the other.
-func (p Params) ObjectiveParams() isegen.ObjectiveParams {
-	return isegen.ObjectiveParams{
+func (p Params) ObjectiveParams() search.ObjectiveParams {
+	return search.ObjectiveParams{
 		GatePenalty:   p.GatePenalty,
 		LatencyBudget: p.LatencyBudget,
 		ClassWeights:  p.ClassWeights,
@@ -488,20 +489,10 @@ func runApplication(ctx context.Context, app *ir.Application, p Params, cache *s
 	cfg.MaxIn, cfg.MaxOut, cfg.NISE, cfg.Workers = p.MaxIn, p.MaxOut, p.NISE, p.Workers
 	cfg.Model = defaultModel
 
-	var sels []isegen.Selection
-	var frontier *search.Frontier
-	if p.Reuse {
-		res, err := isegen.GenerateWithObjectiveContext(ctx, app, cfg, p.Objective, p.ObjectiveParams(), cache)
-		if err != nil {
-			return err
-		}
-		sels, frontier = res.Selections, res.Frontier
-	} else {
-		cuts, fr, err := isegen.GenerateCutsOnlyWithObjectiveContext(ctx, app, cfg, p.Objective, p.ObjectiveParams(), cache)
-		if err != nil {
-			return err
-		}
-		sels, frontier = SingleInstanceSelections(app, cuts), fr
+	r := &search.Runner{Workers: p.Workers, Cache: cache}
+	sels, frontier, err := r.Select(ctx, app, cfg, p.Objective, p.ObjectiveParams(), p.Reuse)
+	if err != nil {
+		return err
 	}
 
 	blockIdx := blockIndex(app)
@@ -646,7 +637,7 @@ func runPerBlock(ctx context.Context, app *ir.Application, p Params, cache *sear
 		defer emitMu.Unlock()
 		return raceEmitErr
 	}
-	var sels []isegen.Selection
+	var sels []eval.Selection
 	var jobSeed float64
 	var jobRaises, jobExplored int64
 	ise := 0
@@ -677,7 +668,7 @@ func runPerBlock(ctx context.Context, app *ir.Application, p Params, cache *sear
 		recSels := make([]Selection, 0, len(out.cuts))
 		for _, c := range out.cuts {
 			ise++
-			sel := isegen.Selection{Cut: c, Instances: []isegen.Instance{{BlockIdx: bi, Nodes: c.Nodes}}}
+			sel := eval.Selection{Cut: c, Instances: []reuse.Instance{{BlockIdx: bi, Nodes: c.Nodes}}}
 			sels = append(sels, sel)
 			recSels = append(recSels, toSelection(ise, sel, p.Objective != ""))
 		}
@@ -701,8 +692,8 @@ func runPerBlock(ctx context.Context, app *ir.Application, p Params, cache *sear
 	return emitSummary(app, p, sels, syncEmit)
 }
 
-func emitSummary(app *ir.Application, p Params, sels []isegen.Selection, emit func(v any) error) error {
-	rep, err := isegen.Evaluate(app, defaultModel, sels)
+func emitSummary(app *ir.Application, p Params, sels []eval.Selection, emit func(v any) error) error {
+	rep, err := eval.Evaluate(app, defaultModel, sels)
 	if err != nil {
 		return err
 	}
@@ -747,7 +738,7 @@ func blockResult(bi int, blk *ir.Block, skipped string, sels []Selection) *Block
 // toSelection converts one selection into its wire record. withVector
 // attaches the cut's objective vector — set exactly when the job named an
 // explicit objective, so default streams keep the pre-objective schema.
-func toSelection(ise int, sel isegen.Selection, withVector bool) Selection {
+func toSelection(ise int, sel eval.Selection, withVector bool) Selection {
 	c := sel.Cut
 	insts := make([]Instance, 0, len(sel.Instances))
 	for _, inst := range sel.Instances {
@@ -783,22 +774,6 @@ func frontierRecord(fr *search.Frontier) *FrontierRecord {
 		})
 	}
 	return &FrontierRecord{Type: "frontier", Points: points}
-}
-
-// SingleInstanceSelections converts cuts into Selections counting each
-// cut once in its own block (no reuse claiming) — the shape the noreuse
-// flows and the per-block baselines share. Exported so cmd/isegen's
-// human-readable path uses the same conversion as the result stream.
-func SingleInstanceSelections(app *ir.Application, cuts []*core.Cut) []isegen.Selection {
-	blockIdx := blockIndex(app)
-	sels := make([]isegen.Selection, 0, len(cuts))
-	for _, c := range cuts {
-		sels = append(sels, isegen.Selection{
-			Cut:       c,
-			Instances: []isegen.Instance{{BlockIdx: blockIdx[c.Block], Nodes: c.Nodes}},
-		})
-	}
-	return sels
 }
 
 func blockIndex(app *ir.Application) map[*ir.Block]int {

@@ -166,64 +166,34 @@ func Generate(app *Application, cfg Config) (*Result, error) {
 // skip cut costing entirely — the long-lived-service scenario. The run
 // aborts between driver rounds when ctx is cancelled, returning ctx.Err().
 func GenerateContext(ctx context.Context, app *Application, cfg Config, cache *CostCache) (*Result, error) {
-	return GenerateWithObjectiveContext(ctx, app, cfg, "", ObjectiveParams{}, cache)
+	return generate(ctx, app, cfg, "", ObjectiveParams{}, cache)
 }
 
-// GenerateWithObjective runs GenerateWithObjectiveContext under
-// context.Background().
+// GenerateWithObjective is the full ISEGEN-with-reuse flow under a chosen
+// scoring objective: the greedy drive selects candidates by the named
+// objective from the registry (see ObjectiveNames) while reuse matching
+// still claims every isomorphic instance of each selected cut. The empty
+// name and "reuse" both select the default reuse-aware scoring and are
+// exactly equivalent to Generate. Under "pareto" the returned Result
+// additionally carries the run's Frontier. Cancellation, a shared cache
+// and the cuts-only variant are reachable through Runner.Select.
 func GenerateWithObjective(app *Application, cfg Config, objective string, p ObjectiveParams) (*Result, error) {
-	return GenerateWithObjectiveContext(context.Background(), app, cfg, objective, p, nil)
+	return generate(context.Background(), app, cfg, objective, p, nil)
 }
 
-// GenerateWithObjectiveContext is the full ISEGEN-with-reuse flow under a
-// chosen scoring objective: the greedy drive selects candidates by the
-// named objective from the registry (see ObjectiveNames) while reuse
-// matching still claims every isomorphic instance of each selected cut.
-// The empty name and "reuse" both select the default reuse-aware scoring
-// (wired to the shared claimer, so scoring sees claimed state) and are
-// exactly equivalent to GenerateContext. Under "pareto" the returned
-// Result additionally carries the run's Frontier.
-func GenerateWithObjectiveContext(ctx context.Context, app *Application, cfg Config, objective string, p ObjectiveParams, cache *CostCache) (*Result, error) {
-	claimer := eval.NewClaimer(app)
-	var obj *Objective
-	switch objective {
-	case "", "reuse":
-		// Reuse-aware candidate scoring (the paper's Figure 1
-		// principle): a cut is worth its merit times the number of
-		// disjoint schedulable instances that can be claimed for it,
-		// weighted by block frequency. The scoring claimer must be the
-		// claiming one, so scores see previously claimed state.
-		obj = search.ReuseAware(app, cfg.Model, claimer)
-	default:
-		var err error
-		if obj, err = search.NewObjective(objective, app, cfg.Model, p); err != nil {
-			return nil, err
-		}
-	}
-
-	var sels []Selection
+// generate runs Runner.Select with reuse claiming and evaluates the
+// selections.
+func generate(ctx context.Context, app *Application, cfg Config, objective string, p ObjectiveParams, cache *CostCache) (*Result, error) {
 	r := &search.Runner{Workers: cfg.Workers, Cache: cache}
-	_, stats, err := r.GenerateContext(ctx, app, cfg, obj, func(bi int, cut *Cut, excluded []*graph.BitSet) {
-		// The seed itself is already excluded by the driver; the
-		// claimer finds every other instance among available nodes
-		// (and re-admits the seed occurrence), extending excluded. A
-		// cut whose every instance would form a dependency cycle with
-		// previously claimed instances yields no selection; its nodes
-		// stay excluded so the driver moves on.
-		sel := claimer.Claim(bi, cut, excluded)
-		if len(sel.Instances) > 0 {
-			sels = append(sels, sel)
-		}
-	})
+	sels, frontier, err := r.Select(ctx, app, cfg, objective, p, true)
 	if err != nil {
 		return nil, err
 	}
-
 	rep, err := eval.Evaluate(app, cfg.Model, sels)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Selections: sels, Report: rep, Frontier: stats.Frontier}, nil
+	return &Result{Selections: sels, Report: rep, Frontier: frontier}, nil
 }
 
 // ClaimAllWithReuse converts cuts identified by any algorithm into
@@ -233,37 +203,12 @@ func ClaimAllWithReuse(app *Application, cuts []*Cut, blockIdxOf func(*Cut) int)
 }
 
 // GenerateCutsOnly runs ISEGEN without reuse matching: each identified cut
-// counts once. This is the configuration used for the Figure 4 comparison,
-// where all four algorithms are evaluated identically.
+// counts once, selected by merit. This is the configuration used for the
+// Figure 4 comparison, where all four algorithms are evaluated
+// identically.
 func GenerateCutsOnly(app *Application, cfg Config) ([]*Cut, error) {
-	return GenerateCutsOnlyContext(context.Background(), app, cfg, nil)
-}
-
-// GenerateCutsOnlyContext is GenerateCutsOnly with cancellation and an
-// optional shared cut-costing cache (see GenerateContext).
-func GenerateCutsOnlyContext(ctx context.Context, app *Application, cfg Config, cache *CostCache) ([]*Cut, error) {
-	cuts, _, err := GenerateCutsOnlyWithObjectiveContext(ctx, app, cfg, "", ObjectiveParams{}, cache)
+	cuts, _, err := (&search.Runner{Workers: cfg.Workers}).Generate(app, cfg, MeritObjective(cfg.Model), nil)
 	return cuts, err
-}
-
-// GenerateCutsOnlyWithObjectiveContext is GenerateCutsOnlyContext under a
-// chosen scoring objective from the registry (the empty name selects
-// "merit", the paper's Figure 4 configuration). The returned Frontier is
-// non-nil only for multi-objective runs (objective "pareto").
-func GenerateCutsOnlyWithObjectiveContext(ctx context.Context, app *Application, cfg Config, objective string, p ObjectiveParams, cache *CostCache) ([]*Cut, *Frontier, error) {
-	obj := search.Merit(cfg.Model)
-	if objective != "" {
-		var err error
-		if obj, err = search.NewObjective(objective, app, cfg.Model, p); err != nil {
-			return nil, nil, err
-		}
-	}
-	r := &search.Runner{Workers: cfg.Workers, Cache: cache}
-	cuts, stats, err := r.GenerateContext(ctx, app, cfg, obj, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return cuts, stats.Frontier, nil
 }
 
 // Evaluate computes the quality report of an arbitrary selection set.
@@ -280,13 +225,7 @@ func EvaluateCuts(app *Application, model *Model, cuts []*Cut) (*Report, error) 
 // the given selections, verifying functional equivalence and returning
 // measured (rather than estimated) speedup.
 func Simulate(app *Application, model *Model, sels []Selection) (*sim.AppResult, error) {
-	instances := map[int][]*graph.BitSet{}
-	for _, sel := range sels {
-		for _, inst := range sel.Instances {
-			instances[inst.BlockIdx] = append(instances[inst.BlockIdx], inst.Nodes)
-		}
-	}
-	return sim.RunApp(app, model, instances)
+	return sim.RunApp(app, model, eval.InstancesByBlock(sels))
 }
 
 // SimResult is the simulator's application-level outcome.
@@ -433,7 +372,8 @@ const DefaultGatePenalty = search.DefaultGatePenalty
 // SeedBound and Bound pre-load that best-bound with an externally known
 // feasible merit (the racing engine's heuristic answers), pruning the
 // search without changing its result (see DESIGN.md, "Seeded-bound
-// soundness").
+// soundness"). Cancellable exact runs go through
+// NewSearchEngine("exact" or "iterative").RunContext.
 type ExactOptions = exact.Options
 
 // ExactBound is a raisable shared best-bound, for publishing improving
@@ -448,37 +388,16 @@ func ExactSingleCut(blk *Block, opt ExactOptions, excluded *BitSet) (*Cut, error
 	return exact.SingleCut(blk, opt, excluded)
 }
 
-// ExactSingleCutContext is ExactSingleCut with in-block cancellation: the
-// branch-and-bound polls ctx every few thousand explored nodes and aborts
-// mid-search with ctx.Err().
-func ExactSingleCutContext(ctx context.Context, blk *Block, opt ExactOptions, excluded *BitSet) (*Cut, error) {
-	return exact.SingleCutContext(ctx, blk, opt, excluded)
-}
-
 // ExactIterative repeatedly finds the optimal single cut (the paper's
 // "Iterative" baseline).
 func ExactIterative(blk *Block, opt ExactOptions, nise int) ([]*Cut, error) {
-	return ExactIterativeContext(context.Background(), blk, opt, nise)
-}
-
-// ExactIterativeContext is ExactIterative with in-block cancellation.
-// Every ExactOptions field is honored (Iterative rejects bound seeding;
-// see ExactOptions.SeedBound).
-func ExactIterativeContext(ctx context.Context, blk *Block, opt ExactOptions, nise int) ([]*Cut, error) {
-	return exact.IterativeContext(ctx, blk, opt, nise)
+	return exact.Iterative(blk, opt, nise)
 }
 
 // ExactMultiCut finds the jointly optimal assignment into nise cuts (the
 // paper's "Exact" baseline; tiny blocks only).
 func ExactMultiCut(blk *Block, opt ExactOptions, nise int) ([]*Cut, error) {
-	return ExactMultiCutContext(context.Background(), blk, opt, nise)
-}
-
-// ExactMultiCutContext is ExactMultiCut with in-block cancellation. Every
-// ExactOptions field is honored, including the anytime-seeding fields
-// (SeedBound, Bound, Explored) the racing engine uses.
-func ExactMultiCutContext(ctx context.Context, blk *Block, opt ExactOptions, nise int) ([]*Cut, error) {
-	return exact.MultiCutContext(ctx, blk, opt, nise)
+	return exact.MultiCut(blk, opt, nise)
 }
 
 // GeneticOptions configures the genetic baseline.
