@@ -204,7 +204,7 @@ func TestServiceMetricsRacingSection(t *testing.T) {
 	if err := json.Unmarshal(doc["racing"], &racing); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"jobs", "last_seed_bound", "bound_raises", "explored_seeded", "explored_unseeded"} {
+	for _, key := range []string{"jobs", "bound_raises", "explored_seeded", "explored_unseeded"} {
 		if _, ok := racing[key]; !ok {
 			t.Fatalf("racing section lacks %q: %s", key, doc["racing"])
 		}

@@ -380,17 +380,15 @@ func raceRecord(block int, ev search.RaceEvent) *RaceFrontierRecord {
 type RaceCounters struct {
 	mu               sync.Mutex
 	jobs             int64
-	lastSeedBound    float64
 	boundRaises      int64
 	exploredSeeded   int64
 	exploredUnseeded int64
 }
 
 // observeRacing folds one completed racing job in.
-func (rc *RaceCounters) observeRacing(seedBound float64, raises, explored int64) {
+func (rc *RaceCounters) observeRacing(raises, explored int64) {
 	rc.mu.Lock()
 	rc.jobs++
-	rc.lastSeedBound = seedBound
 	rc.boundRaises += raises
 	rc.exploredSeeded += explored
 	rc.mu.Unlock()
@@ -409,7 +407,6 @@ func (rc *RaceCounters) Snapshot() RacingMetrics {
 	defer rc.mu.Unlock()
 	return RacingMetrics{
 		Jobs:             rc.jobs,
-		LastSeedBound:    rc.lastSeedBound,
 		BoundRaises:      rc.boundRaises,
 		ExploredSeeded:   rc.exploredSeeded,
 		ExploredUnseeded: rc.exploredUnseeded,
@@ -420,10 +417,6 @@ func (rc *RaceCounters) Snapshot() RacingMetrics {
 type RacingMetrics struct {
 	// Jobs counts completed racing jobs.
 	Jobs int64 `json:"jobs"`
-	// LastSeedBound is the highest bound a heuristic racer published
-	// during the most recently completed racing job (its best block's
-	// summed merit).
-	LastSeedBound float64 `json:"last_seed_bound"`
 	// BoundRaises counts successful heuristic bound publications across
 	// jobs.
 	BoundRaises int64 `json:"bound_raises"`
@@ -638,7 +631,6 @@ func runPerBlock(ctx context.Context, app *ir.Application, p Params, cache *sear
 		return raceEmitErr
 	}
 	var sels []eval.Selection
-	var jobSeed float64
 	var jobRaises, jobExplored int64
 	ise := 0
 	for bi := 0; bi < n; bi++ {
@@ -659,9 +651,6 @@ func runPerBlock(ctx context.Context, app *ir.Application, p Params, cache *sear
 			cancel()
 			<-fanErr
 			return fmt.Errorf("block %d (%s): %w", bi, app.Blocks[bi].Name, out.err)
-		}
-		if out.stats.SeedBound > jobSeed {
-			jobSeed = out.stats.SeedBound
 		}
 		jobRaises += out.stats.BoundRaises
 		jobExplored += out.stats.Explored
@@ -684,7 +673,7 @@ func runPerBlock(ctx context.Context, app *ir.Application, p Params, cache *sear
 	if rc := raceCountersOf(ctx); rc != nil {
 		switch p.Algo {
 		case "racing":
-			rc.observeRacing(jobSeed, jobRaises, jobExplored)
+			rc.observeRacing(jobRaises, jobExplored)
 		case "exact", "iterative":
 			rc.observeUnseeded(jobExplored)
 		}
