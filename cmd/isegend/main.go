@@ -23,8 +23,8 @@
 //	     duration, e.g. 200ms; racing only) bounds each block's race —
 //	     on expiry the stream carries the best anytime answer instead of
 //	     the proven optimum. /v1/metrics reports the seeding
-//	     effectiveness (seed bound, raises, seeded vs unseeded explored
-//	     node counts).
+//	     effectiveness (racing jobs, bound raises, seeded vs unseeded
+//	     explored node counts).
 //	     &objective= selects the scoring objective (merit, reuse, area,
 //	     energy, latency, class, pareto; parameterized by &gate_penalty=,
 //	     &latency_budget=, &class_weights=memory=0.5,compute=2). An
@@ -35,8 +35,8 @@
 //	     unchanged and stays bit-identical to `isegen -json`.
 //	GET  /v1/metrics    queue/cache/racing/runtime/search statistics (JSON,
 //	     including engine-internal counters and fixed-bucket latency and
-//	     queue-wait histograms)
-//	GET  /metrics       Prometheus text exposition of the same data
+//	     queue-wait histograms), one snapshot per scrape
+//	GET  /metrics       Prometheus text exposition of the same snapshot
 //	GET  /healthz       readiness probe: 503 with a JSON reason while the
 //	     persistent store is loading or the queue is saturated, 200
 //	     otherwise; ?live=1 is the always-200 liveness probe

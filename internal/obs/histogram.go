@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"maps"
 	"sync"
 	"time"
 )
@@ -70,12 +71,15 @@ type HistogramSnapshot struct {
 }
 
 // Aggregate is the server-side cumulative view: counters summed over
-// every completed job, per-engine job-latency histograms, and per-tenant
-// queue-wait histograms. One mutex guards it all — folds happen once per
-// job, never on a hot path.
+// every completed job, the same counters split by engine, the most
+// recently observed job's counters, per-engine job-latency histograms,
+// and per-tenant queue-wait histograms. One mutex guards it all — folds
+// happen once per job, never on a hot path.
 type Aggregate struct {
 	mu        sync.Mutex
 	counters  CounterSnapshot
+	engines   map[string]CounterSnapshot // by engine (algo)
+	last      CounterSnapshot
 	spanDrops int64
 	latency   map[string]*Histogram // by engine (algo)
 	wait      map[string]*Histogram // by tenant
@@ -84,20 +88,26 @@ type Aggregate struct {
 // NewAggregate returns an empty aggregate.
 func NewAggregate() *Aggregate {
 	return &Aggregate{
+		engines: make(map[string]CounterSnapshot),
 		latency: make(map[string]*Histogram),
 		wait:    make(map[string]*Histogram),
 	}
 }
 
-// ObserveJob folds one completed job in: the recorder's counters and
-// span drops, the job's run latency under its engine, and its queue wait
-// under its tenant. rec may be nil (counters skipped).
+// ObserveJob folds one completed job in: the recorder's counters (into
+// the totals, under its engine, and as the last job's), its span drops,
+// the job's run latency under its engine, and its queue wait under its
+// tenant. rec may be nil (counters skipped).
 func (a *Aggregate) ObserveJob(rec *Recorder, engine, tenant string, latency, wait time.Duration) {
 	c := rec.Counters()
 	drops := rec.Dropped()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.counters.Add(c)
+	e := a.engines[engine]
+	e.Add(c)
+	a.engines[engine] = e
+	a.last = c
 	a.spanDrops += drops
 	h := a.latency[engine]
 	if h == nil {
@@ -113,33 +123,42 @@ func (a *Aggregate) ObserveJob(rec *Recorder, engine, tenant string, latency, wa
 	h.Observe(wait)
 }
 
-// Counters snapshots the cumulative counters.
-func (a *Aggregate) Counters() CounterSnapshot {
+// AggregateSnapshot is a consistent point-in-time copy of an Aggregate:
+// every field reflects the same set of observed jobs.
+type AggregateSnapshot struct {
+	Counters  CounterSnapshot            // summed over every job
+	Engines   map[string]CounterSnapshot // summed per engine
+	LastJob   CounterSnapshot            // the most recently observed job's
+	SpanDrops int64
+	Latency   map[string]HistogramSnapshot // job latency by engine
+	QueueWait map[string]HistogramSnapshot // queue wait by tenant
+}
+
+// Snapshot copies the whole aggregate under one lock.
+func (a *Aggregate) Snapshot() AggregateSnapshot {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.counters
+	return AggregateSnapshot{
+		Counters:  a.counters,
+		Engines:   maps.Clone(a.engines),
+		LastJob:   a.last,
+		SpanDrops: a.spanDrops,
+		Latency:   snapshotMap(a.latency),
+		QueueWait: snapshotMap(a.wait),
+	}
 }
+
+// Counters snapshots the cumulative counters.
+func (a *Aggregate) Counters() CounterSnapshot { return a.Snapshot().Counters }
 
 // SpanDrops reports the cumulative span-ring overwrites across jobs.
-func (a *Aggregate) SpanDrops() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.spanDrops
-}
+func (a *Aggregate) SpanDrops() int64 { return a.Snapshot().SpanDrops }
 
 // Latency snapshots the per-engine job-latency histograms.
-func (a *Aggregate) Latency() map[string]HistogramSnapshot {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return snapshotMap(a.latency)
-}
+func (a *Aggregate) Latency() map[string]HistogramSnapshot { return a.Snapshot().Latency }
 
 // QueueWait snapshots the per-tenant queue-wait histograms.
-func (a *Aggregate) QueueWait() map[string]HistogramSnapshot {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return snapshotMap(a.wait)
-}
+func (a *Aggregate) QueueWait() map[string]HistogramSnapshot { return a.Snapshot().QueueWait }
 
 func snapshotMap(m map[string]*Histogram) map[string]HistogramSnapshot {
 	out := make(map[string]HistogramSnapshot, len(m))

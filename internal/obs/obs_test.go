@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -229,5 +230,49 @@ func TestPromWriterFormat(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q in:\n%s", want, out)
 		}
+	}
+}
+
+func TestAggregateEngineAndLastJobFolds(t *testing.T) {
+	a := NewAggregate()
+	job := func(explored, hits int64) *Recorder {
+		r := NewRecorder(1)
+		r.Add(ExactExplored, explored)
+		r.Add(CacheHits, hits)
+		return r
+	}
+	a.ObserveJob(job(10, 1), "exact", "alice", time.Millisecond, 0)
+	a.ObserveJob(job(5, 2), "racing", "alice", time.Millisecond, 0)
+	a.ObserveJob(job(7, 3), "exact", "bob", time.Millisecond, 0)
+	s := a.Snapshot()
+	if got := s.Engines["exact"].Get(ExactExplored); got != 17 {
+		t.Fatalf("exact explored = %d, want 17", got)
+	}
+	if got := s.Engines["racing"].Get(ExactExplored); got != 5 {
+		t.Fatalf("racing explored = %d, want 5", got)
+	}
+	if got := s.Counters.Get(ExactExplored); got != 22 {
+		t.Fatalf("total explored = %d, want 22", got)
+	}
+	if s.LastJob.Get(ExactExplored) != 7 || s.LastJob.Get(CacheHits) != 3 {
+		t.Fatalf("last job = %v, want the third job's counters", s.LastJob.Map())
+	}
+	// The snapshot is a copy: later folds, here concurrent with
+	// snapshots as on a serving daemon, must not show through it.
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a.ObserveJob(job(1, 0), "exact", "bob", time.Millisecond, 0)
+			_ = a.Snapshot()
+		}()
+	}
+	wg.Wait()
+	if s.Engines["exact"].Get(ExactExplored) != 17 {
+		t.Fatal("snapshot aliased the aggregate's engine map")
+	}
+	if got := a.Snapshot().Engines["exact"].Get(ExactExplored); got != 21 {
+		t.Fatalf("exact explored after concurrent folds = %d, want 21", got)
 	}
 }

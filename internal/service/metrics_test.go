@@ -8,10 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/kernels"
+	"repro/internal/obs"
 	"repro/internal/search"
 )
 
@@ -115,4 +117,117 @@ func TestMetricsSurfaceInventory(t *testing.T) {
 	}
 	keys = append(keys, jsonKeys(t, "cache.store", cache["store"])...)
 	checkGolden(t, "metrics_json_keys.golden", keys)
+}
+
+// promSamples parses an exposition into series → value ("name" or
+// "name{labels}"). A series that appears twice must carry one value.
+func promSamples(t *testing.T, text string) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, line := range strings.Split(text, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("bad sample line %q: %v", line, err)
+		}
+		series := line[:i]
+		if old, dup := out[series]; dup && old != v {
+			t.Errorf("series %s exported twice with different values: %g, %g", series, old, v)
+		}
+		out[series] = v
+	}
+	return out
+}
+
+// TestMetricsJSONMatchesPrometheus pins the one-snapshot contract: with
+// no job running, every number present in both /v1/metrics and /metrics
+// is equal, and the racing section's derived values keep their
+// identities with the engine counters they come from. Runtime gauges are
+// left out: they move between two scrapes by design.
+func TestMetricsJSONMatchesPrometheus(t *testing.T) {
+	srv, ts := serveMetricsJobs(t, metricsJobAlgos...)
+	defer srv.Close()
+	defer ts.Close()
+
+	m := fetchMetrics(t, ts)
+	prom := promSamples(t, string(getBody(t, ts.URL+"/metrics")))
+	check := func(series string, want int64) {
+		t.Helper()
+		got, ok := prom[series]
+		if !ok {
+			t.Errorf("/metrics lacks %s", series)
+		} else if got != float64(want) {
+			t.Errorf("%s = %g, /v1/metrics says %d", series, got, want)
+		}
+	}
+	q := m.Queue
+	check("isegend_queue_depth", int64(q.Depth))
+	check("isegend_queue_active_jobs", int64(q.Active))
+	check("isegend_queue_accepted_total", q.Accepted)
+	check("isegend_queue_rejected_total", q.Rejected)
+	check("isegend_queue_completed_total", q.Completed)
+	check("isegend_queue_dropped_total", q.Dropped)
+	check("isegend_queue_panics_total", q.Panics)
+	check("isegend_cache_hits_total", m.Cache.Hits)
+	check("isegend_cache_misses_total", m.Cache.Misses)
+	check("isegend_cache_flush_errors_total", m.Cache.FlushErrors)
+	st := m.Cache.Store
+	if st == nil {
+		t.Fatal("/v1/metrics lacks cache.store with a store attached")
+	}
+	degraded := int64(0)
+	if st.Degraded {
+		degraded = 1
+	}
+	check("isegend_store_degraded", degraded)
+	check("isegend_store_bytes", st.CurrentBytes)
+	check("isegend_store_corrupt_total", st.Corrupt)
+	check("isegend_store_write_errors_total", st.WriteErrors)
+	check("isegend_store_breaker_trips_total", st.BreakerTrips)
+	check("isegend_store_probes_total", st.Probes)
+	check("isegend_store_recoveries_total", st.Recoveries)
+	check("isegend_racing_jobs_total", m.Racing.Jobs)
+	check("isegend_racing_bound_raises_total", m.Racing.BoundRaises)
+	check("isegend_span_drops_total", m.Search.SpanDrops)
+	for _, c := range obs.AllCounters() {
+		check("isegend_"+c.String()+"_total", m.Search.Counters[c.String()])
+	}
+	for engine, h := range m.Search.LatencySeconds {
+		check(`isegend_job_duration_seconds_count{engine="`+engine+`"}`, h.Count)
+	}
+	for tenant, h := range m.Search.QueueWaitSeconds {
+		check(`isegend_queue_wait_seconds_count{tenant="`+tenant+`"}`, h.Count)
+	}
+
+	// Derived identities: the racing section is a view of the engine
+	// counters, not a second tally.
+	if m.Racing.Jobs != 1 {
+		t.Errorf("racing.jobs = %d after one racing job", m.Racing.Jobs)
+	}
+	if a, b := prom["isegend_racing_bound_raises_total"], prom["isegend_racing_seed_publications_total"]; a != b {
+		t.Errorf("racing_bound_raises_total %g != racing_seed_publications_total %g", a, b)
+	}
+	if got, want := m.Racing.ExploredSeeded+m.Racing.ExploredUnseeded, m.Search.Counters["exact_explored"]; got != want {
+		t.Errorf("explored_seeded+explored_unseeded = %d, exact_explored = %d", got, want)
+	}
+	if m.Cache.FlushErrors != m.Search.Counters["store_flush_failures"] {
+		t.Errorf("flush_errors %d != store_flush_failures %d", m.Cache.FlushErrors, m.Search.Counters["store_flush_failures"])
+	}
+
+	// After only unseeded exact work, explored_unseeded is the whole
+	// exact_explored counter.
+	srv2, ts2 := serveMetricsJobs(t, "exact", "iterative")
+	defer srv2.Close()
+	defer ts2.Close()
+	m2 := fetchMetrics(t, ts2)
+	if m2.Racing.ExploredUnseeded <= 0 || m2.Racing.ExploredUnseeded != m2.Search.Counters["exact_explored"] {
+		t.Errorf("explored_unseeded = %d, exact_explored = %d after exact+iterative jobs",
+			m2.Racing.ExploredUnseeded, m2.Search.Counters["exact_explored"])
+	}
+	if m2.Racing.Jobs != 0 || m2.Racing.ExploredSeeded != 0 {
+		t.Errorf("racing section moved without a racing job: %+v", m2.Racing)
+	}
 }

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -75,20 +74,16 @@ type Server struct {
 	cfg   Config
 	queue *Queue
 	cache *search.CostCache
-	race  *RaceCounters
 	// agg accumulates per-job recorders into the served metrics view:
-	// engine counters, per-engine latency and per-tenant queue-wait
-	// histograms (fixed buckets — see obs.DefaultBuckets).
+	// engine counters (total, per engine, last job), per-engine latency
+	// and per-tenant queue-wait histograms (fixed buckets — see
+	// obs.DefaultBuckets). The server keeps no other metrics state.
 	agg *obs.Aggregate
 	// storeReady flips true once the persistent store's initial
 	// directory scan has completed; until then the readiness probe
 	// reports 503 so load balancers don't route jobs that would all
 	// miss the cache and re-cost from scratch.
 	storeReady atomic.Bool
-
-	mu                       sync.Mutex
-	lastJobHits, lastJobMiss int64
-	flushErrs                int64
 }
 
 // NewServer starts the worker pool and returns a ready-to-serve Server.
@@ -122,7 +117,6 @@ func NewServer(cfg Config) *Server {
 		cfg:   cfg,
 		queue: NewQueue(cfg.QueueCapacity, cfg.Workers, cfg.TenantBudget),
 		cache: cfg.Cache,
-		race:  &RaceCounters{},
 		agg:   obs.NewAggregate(),
 	}
 	if st := s.cache.Store(); st != nil {
@@ -230,12 +224,17 @@ func parseParams(r *http.Request) (Params, error) {
 		*dst = n
 		return nil
 	}
-	for name, dst := range map[string]*int{
-		"in": &p.MaxIn, "out": &p.MaxOut, "nise": &p.NISE, "workers": &p.Workers,
-		"subtree_workers": &p.SubtreeWorkers, "split_depth": &p.SplitDepth,
-		"max_frontier": &p.MaxFrontier,
+	// A fixed order, so a request with several malformed values always
+	// names the same (first declared) one.
+	for _, f := range []struct {
+		name string
+		dst  *int
+	}{
+		{"in", &p.MaxIn}, {"out", &p.MaxOut}, {"nise", &p.NISE}, {"workers", &p.Workers},
+		{"subtree_workers", &p.SubtreeWorkers}, {"split_depth", &p.SplitDepth},
+		{"max_frontier", &p.MaxFrontier},
 	} {
-		if err := intField(name, dst); err != nil {
+		if err := intField(f.name, f.dst); err != nil {
 			return p, err
 		}
 	}
@@ -395,7 +394,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		// were committed, 504 before. Engine failures after streaming
 		// started land in-stream (the 200 is committed by then); before
 		// any record, the handler turns them into a real error status.
-		if err := Run(WithRaceCounters(ctx, s.race), app, p, s.cache, emit); err != nil && r.Context().Err() == nil {
+		if err := Run(ctx, app, p, s.cache, emit); err != nil && r.Context().Err() == nil {
 			if wrote {
 				_ = emit(&ErrorRecord{Type: "error", Error: err.Error()})
 			} else {
@@ -403,9 +402,10 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		h1, m1 := s.cache.Stats()
-		// Concurrent jobs blur the per-job attribution of these deltas the
-		// same way they blur lastJobHits below; the cumulative sums in the
-		// aggregate stay exact.
+		// Overlapping jobs blur the per-job attribution of these deltas
+		// (and so the last_job_* metrics); they are exact whenever jobs
+		// run one at a time, and the aggregate's cumulative sums always
+		// are.
 		rec.Add(obs.CacheHits, h1-h0)
 		rec.Add(obs.CacheMisses, m1-m0)
 		// Flush before the recorder folds into the aggregate so the
@@ -413,17 +413,9 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		// captured first so persistence latency (and its backoff sleeps)
 		// never pollutes the job-duration histograms.
 		runDur := time.Since(runStart)
-		flushErr := s.flushStore(rec)
+		s.flushStore(rec)
 		rec.End(jobSpan)
 		s.agg.ObserveJob(rec, p.Algo, tenant, runDur, wait)
-		s.mu.Lock()
-		// Overlapping jobs blur these deltas; they are exact whenever
-		// jobs run one at a time (the benchmark/repro setup).
-		s.lastJobHits, s.lastJobMiss = h1-h0, m1-m0
-		if flushErr != nil {
-			s.flushErrs++
-		}
-		s.mu.Unlock()
 	})
 	if err != nil {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs()))
@@ -464,11 +456,13 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 
 // flushStore persists the cache after a job with bounded retry: transient
 // failures back off exponentially and try again, while ErrStoreDegraded
-// returns immediately — the store's write breaker is already refusing
-// writes, and retrying from every job would defeat its purpose. The
-// costings stay dirty in memory either way, so a later flush (riding the
-// breaker's deterministic recovery probes) persists them eventually.
-func (s *Server) flushStore(rec *obs.Recorder) error {
+// is never retried — the store's write breaker is already refusing
+// writes, and retrying from every job would defeat its purpose. A final
+// failure counts in the job's StoreFlushFailures (the served
+// flush_errors). The costings stay dirty in memory either way, so a later
+// flush (riding the breaker's deterministic recovery probes) persists
+// them eventually.
+func (s *Server) flushStore(rec *obs.Recorder) {
 	err := s.cache.Flush()
 	backoff := s.cfg.FlushBackoff
 	for try := 0; try < s.cfg.FlushRetries && err != nil && !errors.Is(err, search.ErrStoreDegraded); try++ {
@@ -480,10 +474,13 @@ func (s *Server) flushStore(rec *obs.Recorder) error {
 	if err != nil {
 		rec.Add(obs.StoreFlushFailures, 1)
 	}
-	return err
 }
 
-// Metrics is the /v1/metrics response document.
+// Metrics is the /v1/metrics response document and the one snapshot
+// both metrics endpoints render. Every number in it comes from exactly
+// one source — the queue, the cost cache and its store, the job
+// aggregate (obs.Aggregate), or the Go runtime — read once per scrape by
+// snapshot.
 type Metrics struct {
 	Queue QueueStats   `json:"queue"`
 	Cache CacheMetrics `json:"cache"`
@@ -495,6 +492,31 @@ type Metrics struct {
 	// Search reports engine-internal counters and latency/queue-wait
 	// histograms accumulated over completed jobs.
 	Search SearchMetrics `json:"search"`
+	// Ready is what the readiness probe would report (store scanned and
+	// queue not saturated); exported as isegend_ready only.
+	Ready bool `json:"-"`
+	// counters is every engine counter, zeros included, for the
+	// Prometheus families (Search.Counters keeps the non-zero ones).
+	counters obs.CounterSnapshot
+}
+
+// RacingMetrics is the "racing" section of the /v1/metrics document,
+// derived from the aggregate's per-engine counters: how often the
+// heuristics tightened the exact bound, and how many search-tree nodes
+// the exact engine explored with a seeded bound versus without one (the
+// plain "exact"/"iterative" jobs) — the seeded count staying well below
+// the unseeded one on comparable inputs is the racing speedup, measured.
+type RacingMetrics struct {
+	// Jobs counts observed racing jobs, cancelled ones included.
+	Jobs int64 `json:"jobs"`
+	// BoundRaises counts successful heuristic bound publications across
+	// jobs (the racing_seed_publications counter).
+	BoundRaises int64 `json:"bound_raises"`
+	// ExploredSeeded / ExploredUnseeded are cumulative exact-engine
+	// search-tree node counts with a heuristic-seeded bound (racing jobs)
+	// versus without one (plain exact/iterative jobs).
+	ExploredSeeded   int64 `json:"explored_seeded"`
+	ExploredUnseeded int64 `json:"explored_unseeded"`
 }
 
 // RuntimeMetrics is a point-in-time snapshot of process health gauges:
@@ -554,127 +576,153 @@ type CacheMetrics struct {
 	FlushErrors int64 `json:"flush_errors"`
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// snapshot reads each metrics source once and derives every served
+// number from those reads.
+func (s *Server) snapshot() Metrics {
+	qs := s.queue.Stats()
 	hits, misses := s.cache.Stats()
-	s.mu.Lock()
-	cm := CacheMetrics{
-		Hits: hits, Misses: misses,
-		LastJobHits: s.lastJobHits, LastJobMiss: s.lastJobMiss,
-		FlushErrors: s.flushErrs,
-	}
-	s.mu.Unlock()
-	if t := hits + misses; t > 0 {
-		cm.HitRate = float64(hits) / float64(t)
-	}
-	if t := cm.LastJobHits + cm.LastJobMiss; t > 0 {
-		cm.LastJobRate = float64(cm.LastJobHits) / float64(t)
-	}
-	if st := s.cache.Store(); st != nil {
-		ss := st.Stats()
-		cm.Store = &ss
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(&Metrics{
-		Queue:   s.queue.Stats(),
-		Cache:   cm,
-		Racing:  s.race.Snapshot(),
+	agg := s.agg.Snapshot()
+	last := agg.LastJob
+	m := Metrics{
+		Queue: qs,
+		Cache: CacheMetrics{
+			Hits: hits, Misses: misses, HitRate: hitRate(hits, misses),
+			LastJobHits: last[obs.CacheHits], LastJobMiss: last[obs.CacheMisses],
+			LastJobRate: hitRate(last[obs.CacheHits], last[obs.CacheMisses]),
+			FlushErrors: agg.Counters[obs.StoreFlushFailures],
+		},
+		Racing: RacingMetrics{
+			Jobs:             agg.Latency["racing"].Count,
+			BoundRaises:      agg.Engines["racing"][obs.RacingSeeds],
+			ExploredSeeded:   agg.Engines["racing"][obs.ExactExplored],
+			ExploredUnseeded: agg.Engines["exact"][obs.ExactExplored] + agg.Engines["iterative"][obs.ExactExplored],
+		},
 		Runtime: runtimeMetrics(),
 		Search: SearchMetrics{
-			Counters:         s.agg.Counters().Map(),
-			SpanDrops:        s.agg.SpanDrops(),
-			LatencySeconds:   s.agg.Latency(),
-			QueueWaitSeconds: s.agg.QueueWait(),
+			Counters:         agg.Counters.Map(),
+			SpanDrops:        agg.SpanDrops,
+			LatencySeconds:   agg.Latency,
+			QueueWaitSeconds: agg.QueueWait,
 		},
-	})
-}
-
-// handlePromMetrics serves the Prometheus text exposition: queue and
-// cache state, racing effectiveness, every engine-internal counter
-// (zeros included, so a silent exporter is distinguishable from a quiet
-// engine), job-latency and queue-wait histograms, and runtime gauges.
-func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	pw := obs.NewPromWriter(w)
-
-	qs := s.queue.Stats()
-	pw.Gauge("isegend_queue_depth", "Jobs waiting in the bounded FIFO.",
-		obs.Sample{Value: float64(qs.Depth)})
-	pw.Gauge("isegend_queue_active_jobs", "Jobs currently running on queue workers.",
-		obs.Sample{Value: float64(qs.Active)})
-	pw.Counter("isegend_queue_accepted_total", "Jobs accepted by Submit.",
-		obs.Sample{Value: float64(qs.Accepted)})
-	pw.Counter("isegend_queue_rejected_total", "Submissions refused (queue full or closed).",
-		obs.Sample{Value: float64(qs.Rejected)})
-	pw.Counter("isegend_queue_completed_total", "Jobs that ran to completion.",
-		obs.Sample{Value: float64(qs.Completed)})
-	pw.Counter("isegend_queue_dropped_total", "Jobs abandoned while queued (cancel or shutdown).",
-		obs.Sample{Value: float64(qs.Dropped)})
-	pw.Counter("isegend_queue_panics_total", "Jobs that crashed (contained to the job).",
-		obs.Sample{Value: float64(qs.Panics)})
-
-	ready := float64(0)
-	if s.storeReady.Load() && !s.queue.Saturated() {
-		ready = 1
+		Ready:    s.storeReady.Load() && qs.Depth < s.cfg.QueueCapacity,
+		counters: agg.Counters,
 	}
-	pw.Gauge("isegend_ready", "1 when the readiness probe would report 200.",
-		obs.Sample{Value: ready})
-
-	hits, misses := s.cache.Stats()
-	s.mu.Lock()
-	flushErrs := s.flushErrs
-	s.mu.Unlock()
-	pw.Counter("isegend_cache_hits_total", "Cut-costing cache hits.",
-		obs.Sample{Value: float64(hits)})
-	pw.Counter("isegend_cache_misses_total", "Cut-costing cache misses.",
-		obs.Sample{Value: float64(misses)})
-	pw.Counter("isegend_cache_flush_errors_total", "Failed post-job cache persistence attempts.",
-		obs.Sample{Value: float64(flushErrs)})
-
 	if st := s.cache.Store(); st != nil {
 		ss := st.Stats()
-		degraded := 0.0
-		if ss.Degraded {
-			degraded = 1
-		}
-		pw.Gauge("isegend_store_degraded", "1 while the store's write breaker is open (read-through degraded mode).",
-			obs.Sample{Value: degraded})
-		pw.Gauge("isegend_store_bytes", "Bytes of live cache entries on disk.",
-			obs.Sample{Value: float64(ss.CurrentBytes)})
-		pw.Counter("isegend_store_corrupt_total", "Entries quarantined after failing the header, checksum or decode.",
-			obs.Sample{Value: float64(ss.Corrupt)})
-		pw.Counter("isegend_store_write_errors_total", "Disk-touching store writes that failed.",
-			obs.Sample{Value: float64(ss.WriteErrors)})
-		pw.Counter("isegend_store_breaker_trips_total", "Write breaker openings.",
-			obs.Sample{Value: float64(ss.BreakerTrips)})
-		pw.Counter("isegend_store_probes_total", "Recovery probes attempted while degraded.",
-			obs.Sample{Value: float64(ss.Probes)})
-		pw.Counter("isegend_store_recoveries_total", "Breaker closings after a successful probe.",
-			obs.Sample{Value: float64(ss.Recoveries)})
+		m.Cache.Store = &ss
 	}
+	return m
+}
 
-	rm := s.race.Snapshot()
-	pw.Counter("isegend_racing_jobs_total", "Racing jobs observed.",
-		obs.Sample{Value: float64(rm.Jobs)})
-	pw.Counter("isegend_racing_bound_raises_total", "Heuristic seeds that tightened the exact bound.",
-		obs.Sample{Value: float64(rm.BoundRaises)})
+// hitRate is hits/(hits+misses), 0 before any lookup.
+func hitRate(hits, misses int64) float64 {
+	if hits+misses == 0 {
+		return 0
+	}
+	return float64(hits) / float64(hits+misses)
+}
 
-	pw.CounterFamilies("isegend", s.agg.Counters())
-	pw.Counter("isegend_span_drops_total", "Span-ring overwrites across completed jobs.",
-		obs.Sample{Value: float64(s.agg.SpanDrops())})
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(s.snapshot())
+}
+
+// promFamily is one single-sample family of the Prometheus exposition,
+// read off the snapshot.
+type promFamily struct {
+	name, help string
+	emit       func(*obs.PromWriter, string, string, ...obs.Sample) // promCounter or promGauge
+	store      bool                                                 // only when a store is attached
+	value      func(*Metrics) float64
+}
+
+var (
+	promCounter = (*obs.PromWriter).Counter
+	promGauge   = (*obs.PromWriter).Gauge
+)
+
+func boolGauge(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// promFamilies are the /metrics families beyond the generic engine
+// counters and histograms, in exposition order.
+var promFamilies = []promFamily{
+	{name: "isegend_queue_depth", help: "Jobs waiting in the bounded FIFO.", emit: promGauge,
+		value: func(m *Metrics) float64 { return float64(m.Queue.Depth) }},
+	{name: "isegend_queue_active_jobs", help: "Jobs currently running on queue workers.", emit: promGauge,
+		value: func(m *Metrics) float64 { return float64(m.Queue.Active) }},
+	{name: "isegend_queue_accepted_total", help: "Jobs accepted by Submit.", emit: promCounter,
+		value: func(m *Metrics) float64 { return float64(m.Queue.Accepted) }},
+	{name: "isegend_queue_rejected_total", help: "Submissions refused (queue full or closed).", emit: promCounter,
+		value: func(m *Metrics) float64 { return float64(m.Queue.Rejected) }},
+	{name: "isegend_queue_completed_total", help: "Jobs that ran to completion.", emit: promCounter,
+		value: func(m *Metrics) float64 { return float64(m.Queue.Completed) }},
+	{name: "isegend_queue_dropped_total", help: "Jobs abandoned while queued (cancel or shutdown).", emit: promCounter,
+		value: func(m *Metrics) float64 { return float64(m.Queue.Dropped) }},
+	{name: "isegend_queue_panics_total", help: "Jobs that crashed (contained to the job).", emit: promCounter,
+		value: func(m *Metrics) float64 { return float64(m.Queue.Panics) }},
+	{name: "isegend_ready", help: "1 when the readiness probe would report 200.", emit: promGauge,
+		value: func(m *Metrics) float64 { return boolGauge(m.Ready) }},
+	{name: "isegend_cache_hits_total", help: "Cut-costing cache hits.", emit: promCounter,
+		value: func(m *Metrics) float64 { return float64(m.Cache.Hits) }},
+	{name: "isegend_cache_misses_total", help: "Cut-costing cache misses.", emit: promCounter,
+		value: func(m *Metrics) float64 { return float64(m.Cache.Misses) }},
+	{name: "isegend_cache_flush_errors_total", help: "Failed post-job cache persistence attempts.", emit: promCounter,
+		value: func(m *Metrics) float64 { return float64(m.Cache.FlushErrors) }},
+	{name: "isegend_store_degraded", help: "1 while the store's write breaker is open (read-through degraded mode).", emit: promGauge, store: true,
+		value: func(m *Metrics) float64 { return boolGauge(m.Cache.Store.Degraded) }},
+	{name: "isegend_store_bytes", help: "Bytes of live cache entries on disk.", emit: promGauge, store: true,
+		value: func(m *Metrics) float64 { return float64(m.Cache.Store.CurrentBytes) }},
+	{name: "isegend_store_corrupt_total", help: "Entries quarantined after failing the header, checksum or decode.", emit: promCounter, store: true,
+		value: func(m *Metrics) float64 { return float64(m.Cache.Store.Corrupt) }},
+	{name: "isegend_store_write_errors_total", help: "Disk-touching store writes that failed.", emit: promCounter, store: true,
+		value: func(m *Metrics) float64 { return float64(m.Cache.Store.WriteErrors) }},
+	{name: "isegend_store_breaker_trips_total", help: "Write breaker openings.", emit: promCounter, store: true,
+		value: func(m *Metrics) float64 { return float64(m.Cache.Store.BreakerTrips) }},
+	{name: "isegend_store_probes_total", help: "Recovery probes attempted while degraded.", emit: promCounter, store: true,
+		value: func(m *Metrics) float64 { return float64(m.Cache.Store.Probes) }},
+	{name: "isegend_store_recoveries_total", help: "Breaker closings after a successful probe.", emit: promCounter, store: true,
+		value: func(m *Metrics) float64 { return float64(m.Cache.Store.Recoveries) }},
+	{name: "isegend_racing_jobs_total", help: "Racing jobs observed.", emit: promCounter,
+		value: func(m *Metrics) float64 { return float64(m.Racing.Jobs) }},
+	{name: "isegend_racing_bound_raises_total", help: "Heuristic seeds that tightened the exact bound.", emit: promCounter,
+		value: func(m *Metrics) float64 { return float64(m.Racing.BoundRaises) }},
+	{name: "isegend_span_drops_total", help: "Span-ring overwrites across completed jobs.", emit: promCounter,
+		value: func(m *Metrics) float64 { return float64(m.Search.SpanDrops) }},
+	{name: "isegend_goroutines", help: "Live goroutines.", emit: promGauge,
+		value: func(m *Metrics) float64 { return float64(m.Runtime.Goroutines) }},
+	{name: "isegend_heap_alloc_bytes", help: "Bytes of live heap objects.", emit: promGauge,
+		value: func(m *Metrics) float64 { return float64(m.Runtime.HeapAllocBytes) }},
+	{name: "isegend_heap_sys_bytes", help: "Heap memory obtained from the OS.", emit: promGauge,
+		value: func(m *Metrics) float64 { return float64(m.Runtime.HeapSysBytes) }},
+	{name: "isegend_heap_objects", help: "Live heap object count.", emit: promGauge,
+		value: func(m *Metrics) float64 { return float64(m.Runtime.HeapObjects) }},
+	{name: "isegend_gc_cycles_total", help: "Completed GC cycles.", emit: promCounter,
+		value: func(m *Metrics) float64 { return float64(m.Runtime.NumGC) }},
+}
+
+// handlePromMetrics serves the Prometheus text exposition of the same
+// snapshot /v1/metrics encodes: the promFamilies table, then every
+// engine-internal counter (zeros included, so a silent exporter is
+// distinguishable from a quiet engine) and the job-latency and
+// queue-wait histograms.
+func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	m := s.snapshot()
+	pw := obs.NewPromWriter(w)
+	for _, f := range promFamilies {
+		if f.store && m.Cache.Store == nil {
+			continue
+		}
+		f.emit(pw, f.name, f.help, obs.Sample{Value: f.value(&m)})
+	}
+	pw.CounterFamilies("isegend", m.counters)
 	pw.HistogramFamily("isegend_job_duration_seconds",
-		"Job run latency (queue wait excluded) by engine.", "engine", s.agg.Latency())
+		"Job run latency (queue wait excluded) by engine.", "engine", m.Search.LatencySeconds)
 	pw.HistogramFamily("isegend_queue_wait_seconds",
-		"Enqueue-to-run-start wait (tenant-budget holds included) by tenant.", "tenant", s.agg.QueueWait())
-
-	rt := runtimeMetrics()
-	pw.Gauge("isegend_goroutines", "Live goroutines.",
-		obs.Sample{Value: float64(rt.Goroutines)})
-	pw.Gauge("isegend_heap_alloc_bytes", "Bytes of live heap objects.",
-		obs.Sample{Value: float64(rt.HeapAllocBytes)})
-	pw.Gauge("isegend_heap_sys_bytes", "Heap memory obtained from the OS.",
-		obs.Sample{Value: float64(rt.HeapSysBytes)})
-	pw.Gauge("isegend_heap_objects", "Live heap object count.",
-		obs.Sample{Value: float64(rt.HeapObjects)})
-	pw.Counter("isegend_gc_cycles_total", "Completed GC cycles.",
-		obs.Sample{Value: float64(rt.NumGC)})
+		"Enqueue-to-run-start wait (tenant-budget holds included) by tenant.", "tenant", m.Search.QueueWaitSeconds)
 }

@@ -371,79 +371,6 @@ func raceRecord(block int, ev search.RaceEvent) *RaceFrontierRecord {
 	}
 }
 
-// RaceCounters aggregates the racing engine's bound-seeding effectiveness
-// across jobs for the metrics endpoint: what the heuristics seeded, how
-// often they published, and how many search-tree nodes the exact engine explored with
-// a seeded bound versus without one (the plain "exact"/"iterative" jobs) —
-// the seeded count staying well below the unseeded one on comparable
-// inputs is the racing speedup, measured.
-type RaceCounters struct {
-	mu               sync.Mutex
-	jobs             int64
-	boundRaises      int64
-	exploredSeeded   int64
-	exploredUnseeded int64
-}
-
-// observeRacing folds one completed racing job in.
-func (rc *RaceCounters) observeRacing(raises, explored int64) {
-	rc.mu.Lock()
-	rc.jobs++
-	rc.boundRaises += raises
-	rc.exploredSeeded += explored
-	rc.mu.Unlock()
-}
-
-// observeUnseeded folds one completed plain exact/iterative job in.
-func (rc *RaceCounters) observeUnseeded(explored int64) {
-	rc.mu.Lock()
-	rc.exploredUnseeded += explored
-	rc.mu.Unlock()
-}
-
-// Snapshot returns the counters as the metrics document section.
-func (rc *RaceCounters) Snapshot() RacingMetrics {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return RacingMetrics{
-		Jobs:             rc.jobs,
-		BoundRaises:      rc.boundRaises,
-		ExploredSeeded:   rc.exploredSeeded,
-		ExploredUnseeded: rc.exploredUnseeded,
-	}
-}
-
-// RacingMetrics is the "racing" section of the /v1/metrics document.
-type RacingMetrics struct {
-	// Jobs counts completed racing jobs.
-	Jobs int64 `json:"jobs"`
-	// BoundRaises counts successful heuristic bound publications across
-	// jobs.
-	BoundRaises int64 `json:"bound_raises"`
-	// ExploredSeeded / ExploredUnseeded are cumulative exact-engine
-	// search-tree node counts with a heuristic-seeded bound (racing jobs)
-	// versus without one (plain exact/iterative jobs).
-	ExploredSeeded   int64 `json:"explored_seeded"`
-	ExploredUnseeded int64 `json:"explored_unseeded"`
-}
-
-// raceCountersKey carries a *RaceCounters through the job context; the
-// server installs its instance so Run's per-block fan-out can report
-// without the wire contract or the Run signature changing.
-type raceCountersKey struct{}
-
-// WithRaceCounters returns a context carrying the counters.
-func WithRaceCounters(ctx context.Context, rc *RaceCounters) context.Context {
-	return context.WithValue(ctx, raceCountersKey{}, rc)
-}
-
-// raceCountersOf extracts the counters (nil when none installed — the
-// offline CLI path).
-func raceCountersOf(ctx context.Context) *RaceCounters {
-	rc, _ := ctx.Value(raceCountersKey{}).(*RaceCounters)
-	return rc
-}
-
 // NDJSONEmitter returns an emit function writing one JSON record per line
 // to w, the encoding both the daemon and `cmd/isegen -json` use.
 func NDJSONEmitter(w io.Writer) func(v any) error {
@@ -550,7 +477,6 @@ func runPerBlock(ctx context.Context, app *ir.Application, p Params, cache *sear
 
 	type blockOut struct {
 		cuts    []*core.Cut
-		stats   search.Stats
 		skipped string
 		err     error
 	}
@@ -620,7 +546,7 @@ func runPerBlock(ctx context.Context, app *ir.Application, p Params, cache *sear
 			// shutdown) aborts the engine mid-block instead of waiting
 			// for the block to finish.
 			bctx, bsp := obs.StartSpan(ictx, obs.KindBlock, blk.Name)
-			outs[i].cuts, outs[i].stats, outs[i].err = blockEng.RunContext(bctx, blk, obj, lim)
+			outs[i].cuts, _, outs[i].err = blockEng.RunContext(bctx, blk, obj, lim)
 			bsp.End()
 		})
 	}()
@@ -631,7 +557,6 @@ func runPerBlock(ctx context.Context, app *ir.Application, p Params, cache *sear
 		return raceEmitErr
 	}
 	var sels []eval.Selection
-	var jobRaises, jobExplored int64
 	ise := 0
 	for bi := 0; bi < n; bi++ {
 		select {
@@ -652,8 +577,6 @@ func runPerBlock(ctx context.Context, app *ir.Application, p Params, cache *sear
 			<-fanErr
 			return fmt.Errorf("block %d (%s): %w", bi, app.Blocks[bi].Name, out.err)
 		}
-		jobRaises += out.stats.BoundRaises
-		jobExplored += out.stats.Explored
 		recSels := make([]Selection, 0, len(out.cuts))
 		for _, c := range out.cuts {
 			ise++
@@ -669,14 +592,6 @@ func runPerBlock(ctx context.Context, app *ir.Application, p Params, cache *sear
 	}
 	if err := <-fanErr; err != nil {
 		return err
-	}
-	if rc := raceCountersOf(ctx); rc != nil {
-		switch p.Algo {
-		case "racing":
-			rc.observeRacing(jobRaises, jobExplored)
-		case "exact", "iterative":
-			rc.observeUnseeded(jobExplored)
-		}
 	}
 	return emitSummary(app, p, sels, syncEmit)
 }

@@ -677,3 +677,18 @@ func TestServiceMetricsStoreEvictionPressure(t *testing.T) {
 		t.Fatalf("store stats report negative current_bytes: %+v", st)
 	}
 }
+
+// TestParseParamsErrorDeterministic pins the 400 for a query with several
+// malformed integer knobs: it always names the first declared one.
+func TestParseParamsErrorDeterministic(t *testing.T) {
+	srv := NewServer(Config{})
+	defer srv.Close()
+	h := srv.Handler()
+	for i := 0; i < 50; i++ {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/select?in=x&out=y", strings.NewReader("")))
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `bad in=\"x\"`) {
+			t.Fatalf("try %d: status %d body %s, want 400 naming in", i, w.Code, w.Body)
+		}
+	}
+}
