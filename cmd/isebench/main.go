@@ -54,6 +54,10 @@ func main() {
 		nsTol    = flag.Float64("ns-tol", 0.5, "ns/op warning tolerance for -diff as a ratio over baseline (0.5 = +50%)")
 	)
 	flag.Parse()
+	if *fig != 0 && *fig != 4 && *fig != 6 && *fig != 7 {
+		fmt.Fprintf(os.Stderr, "isebench: -fig %d: the paper's figures are 4, 6 and 7\n", *fig)
+		os.Exit(2)
+	}
 	if *diffMode {
 		if flag.NArg() != 2 {
 			fmt.Fprintln(os.Stderr, "isebench: -diff needs two arguments: <baseline.json> <fresh.json>")

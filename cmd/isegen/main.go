@@ -4,9 +4,14 @@
 //
 //	isegen [flags] file.dfg
 //
-// The input may contain several blocks (an application). Results are
-// printed per cut with node sets, I/O counts, merits and claimed instance
-// counts, followed by the whole-application report.
+// The input may contain several blocks (an application). Both output
+// modes run the job through internal/service.Run, the path the isegend
+// daemon serves, so they report the same selections. -algo isegen is the
+// paper's application-level greedy flow; the baselines run on every block
+// and count each cut once, and a block over an engine's node limit is
+// listed as skipped instead of failing the run. The text report lists each
+// ISE with its node set, I/O counts, merit and claimed instance count,
+// then the whole-application report.
 //
 // Flags select the algorithm (-algo isegen|genetic|exact|iterative|racing
 // — any name in the unified search-engine registry), the objective
@@ -35,8 +40,8 @@
 // the non-dominated frontier.
 //
 // -json switches to the machine-readable NDJSON result stream — the same
-// schema, code path and byte-for-byte output as the isegend service
-// (internal/service.Run), so offline and served runs are diffable. An
+// schema and byte-for-byte output as the isegend service, so offline and
+// served runs are diffable. An
 // explicit -objective extends each selection record with its objective
 // vector; -objective pareto adds a "frontier" record. Without -objective
 // the stream is bit-identical to the pre-objective schema.
@@ -56,33 +61,34 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	isegen "repro"
-	"repro/internal/eval"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
 
 func main() {
+	d := service.DefaultParams()
 	var (
-		algo      = flag.String("algo", "isegen", "algorithm: "+strings.Join(isegen.SearchEngineNames(), ", "))
+		algo      = flag.String("algo", d.Algo, "algorithm: "+strings.Join(isegen.SearchEngineNames(), ", "))
 		objective = flag.String("objective", "", "objective: "+strings.Join(isegen.ObjectiveNames(), ", ")+
 			" (default: reuse-aware scoring, merit with -noreuse; non-merit objectives require -algo isegen)")
 		gatePenalty = flag.Float64("gate-penalty", 0, "area objective: merit discount per NAND2 gate (0 = default)")
 		latBudget   = flag.Int("latency-budget", 0, "latency objective: max AFU cycles per ISE (required with -objective latency)")
 		classWts    = flag.String("class-weights", "", `class objective: comma-separated class=weight list, e.g. "memory=0.5,compute=2"`)
 		maxFrontier = flag.Int("max-frontier", 0, "pareto objective: bound on retained frontier points (0 = unbounded; deterministic eviction)")
-		maxIn       = flag.Int("in", 4, "maximum ISE input operands")
-		maxOut      = flag.Int("out", 2, "maximum ISE output operands")
-		nise        = flag.Int("nise", 4, "maximum number of ISEs (AFUs)")
-		seed        = flag.Int64("seed", 1, "random seed for the genetic algorithm")
+		maxIn       = flag.Int("in", d.MaxIn, "maximum ISE input operands")
+		maxOut      = flag.Int("out", d.MaxOut, "maximum ISE output operands")
+		nise        = flag.Int("nise", d.NISE, "maximum number of ISEs (AFUs)")
+		seed        = flag.Int64("seed", d.Seed, "random seed for the genetic algorithm")
 		workers     = flag.Int("workers", 0, "worker pool size (0 = one per CPU core; results are identical)")
 		subWorkers  = flag.Int("subtree-workers", 0, "exact engines: in-block branch-and-bound workers (0/1 = single-threaded, -1 = one per CPU core; in-budget runs are identical)")
 		splitDepth  = flag.Int("split-depth", 0, "exact engines: decision depth of the subtree split (0 = automatic; results are identical)")
 		deadline    = flag.Duration("deadline", 0, "racing engine: per-block wall-clock bound (e.g. 200ms; 0 = none) — on expiry the best anytime answer so far is returned instead of the proven optimum")
 		dotFile     = flag.String("dot", "", "write a Graphviz rendering of the first block with cuts highlighted")
-		noReuse     = flag.Bool("noreuse", false, "disable reuse matching (each cut counts once)")
+		noReuse     = flag.Bool("noreuse", !d.Reuse, "disable reuse matching (each cut counts once)")
 		jsonOut     = flag.Bool("json", false, "emit the NDJSON result stream (same schema and bytes as the isegend service)")
 		cacheDir    = flag.String("cache-dir", "", "persist cut costings under this directory across runs")
 		traceFile   = flag.String("trace", "", "record the run's span trace and counters as NDJSON to this file")
@@ -116,6 +122,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "isegen:", err)
 		os.Exit(2)
 	}
+	if *jsonOut && *dotFile != "" {
+		fmt.Fprintln(os.Stderr, "isegen: -dot is not supported with -json (the NDJSON stream carries no render); drop one of the two flags")
+		os.Exit(2)
+	}
 	// Recording is attached through the context; the engines see the same
 	// code path either way (nil-recorder methods are no-ops), so -trace
 	// cannot perturb the result bytes.
@@ -127,15 +137,7 @@ func main() {
 		jobSpan = rec.Start(0, obs.KindJob, p.Algo)
 		ctx = obs.WithParentSpan(obs.WithRecorder(ctx, rec), jobSpan)
 	}
-	if *jsonOut {
-		if *dotFile != "" {
-			fmt.Fprintln(os.Stderr, "isegen: -dot is not supported with -json (the NDJSON stream carries no render); drop one of the two flags")
-			os.Exit(2)
-		}
-		err = runJSON(ctx, flag.Arg(0), p, *cacheDir)
-	} else {
-		err = run(ctx, flag.Arg(0), p, *dotFile, *cacheDir)
-	}
+	err = run(ctx, flag.Arg(0), p, *cacheDir, *jsonOut, *dotFile)
 	if rec != nil {
 		rec.End(jobSpan)
 		if terr := writeTrace(rec, *traceFile); terr != nil && err == nil {
@@ -167,25 +169,12 @@ func writeTrace(rec *obs.Recorder, path string) error {
 	return f.Close()
 }
 
-// openCache builds the run's cut-costing cache: disk-persistent when
-// cacheDir is set (content-hash-keyed, flushed by the caller), otherwise
-// a plain in-memory cache.
-func openCache(cacheDir string) (*isegen.CostCache, error) {
-	if cacheDir == "" {
-		return isegen.NewCostCache(), nil
-	}
-	store, err := isegen.NewCostCacheStore(cacheDir, 0)
-	if err != nil {
-		return nil, err
-	}
-	return isegen.NewPersistentCostCache(store), nil
-}
-
-// runJSON is the machine-readable path: service.Run streaming NDJSON to
-// stdout — exactly what the isegend daemon serves, so the outputs diff
-// clean. With -cache-dir the cut-costing cache is loaded from and flushed
-// back to disk, so a repeated run skips costing entirely.
-func runJSON(ctx context.Context, path string, p service.Params, cacheDir string) (err error) {
+// run executes the job through service.Run — the isegend daemon's path —
+// and renders its record stream: as NDJSON with jsonOut (so offline and
+// served outputs diff clean), otherwise as the text report. With
+// cacheDir set the cut-costing cache is content-hash-keyed on disk,
+// loaded and flushed back, so a repeated run skips costing entirely.
+func run(ctx context.Context, path string, p service.Params, cacheDir string, jsonOut bool, dotFile string) (err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -198,9 +187,13 @@ func runJSON(ctx context.Context, path string, p service.Params, cacheDir string
 	if err != nil {
 		return err
 	}
-	cache, err := openCache(cacheDir)
-	if err != nil {
-		return err
+	cache := isegen.NewCostCache()
+	if cacheDir != "" {
+		store, err := isegen.NewCostCacheStore(cacheDir, 0)
+		if err != nil {
+			return err
+		}
+		cache = isegen.NewPersistentCostCache(store)
 	}
 	// Flush on every outcome: costings computed before a late failure
 	// are still worth persisting for the next run.
@@ -209,122 +202,114 @@ func runJSON(ctx context.Context, path string, p service.Params, cacheDir string
 			err = ferr
 		}
 	}()
-	return service.Run(ctx, app, p, cache, service.NDJSONEmitter(os.Stdout))
+	emit := service.NDJSONEmitter(os.Stdout)
+	if !jsonOut {
+		emit = (&textReport{app: app, dotFile: dotFile}).emit
+	}
+	return service.Run(ctx, app, p, cache, emit)
 }
 
-func run(ctx context.Context, path string, p service.Params, dotFile, cacheDir string) (err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	app, err := isegen.ParseApplication(path, f)
-	if err != nil {
-		return err
-	}
-	model := isegen.DefaultModel()
-	cache, err := openCache(cacheDir)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if ferr := cache.Flush(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}()
+// textReport renders service.Run's records as the human-readable report:
+// one entry per ISE in ISE order, a line per skipped block, the Pareto
+// frontier (objective pareto) and the whole-application line. Nothing is
+// written before the summary record arrives, so a failed job prints only
+// its error. Racing frontier records are in-flight progress and are not
+// rendered.
+type textReport struct {
+	app      *isegen.Application
+	dotFile  string
+	blocks   []*service.BlockResult
+	frontier *service.FrontierRecord
+}
 
-	var sels []isegen.Selection
-	var frontier *isegen.Frontier
-	if p.Algo == "isegen" {
-		// The ISEGEN flow is application-level: the driver walks all
-		// blocks by speedup potential under the chosen objective
-		// (default: reuse-aware scoring).
-		cfg := isegen.DefaultConfig()
-		cfg.MaxIn, cfg.MaxOut, cfg.NISE, cfg.Workers = p.MaxIn, p.MaxOut, p.NISE, p.Workers
-		r := &isegen.Runner{Workers: p.Workers, Cache: cache}
-		if sels, frontier, err = r.Select(ctx, app, cfg, p.Objective, p.ObjectiveParams(), p.Reuse); err != nil {
-			return err
-		}
-	} else {
-		// Baselines operate per block through the unified engine
-		// registry; run them on the largest block, as the paper does
-		// (the critical basic block).
-		eng, err := isegen.NewSearchEngine(p.Algo, cache)
-		if err != nil {
-			return err
-		}
-		if ga, ok := eng.(interface{ SetSeed(int64) }); ok {
-			ga.SetSeed(p.Seed)
-		}
-		hot := 0
-		for i, b := range app.Blocks {
-			if b.N() > app.Blocks[hot].N() {
-				hot = i
-			}
-		}
-		lim := &isegen.SearchLimits{
-			MaxIn: p.MaxIn, MaxOut: p.MaxOut, NISE: p.NISE,
-			NodeLimit: isegen.DefaultNodeLimit(p.Algo), Budget: isegen.DefaultSearchBudget,
-			Workers: p.Workers, SubtreeWorkers: p.SubtreeWorkers, SplitDepth: p.SplitDepth,
-			Deadline: p.Deadline,
-		}
-		cuts, _, err := eng.RunContext(ctx, app.Blocks[hot], isegen.MeritObjective(model), lim)
-		if err != nil {
-			return err
-		}
-		if !p.Reuse {
-			sels = eval.SingleInstanceSelections(app, cuts)
-		} else {
-			blockIdx := map[*isegen.Block]int{}
-			for i, b := range app.Blocks {
-				blockIdx[b] = i
-			}
-			sels = isegen.ClaimAllWithReuse(app, cuts, func(c *isegen.Cut) int { return blockIdx[c.Block] })
+func (r *textReport) emit(v any) error {
+	switch rec := v.(type) {
+	case *service.BlockResult:
+		r.blocks = append(r.blocks, rec)
+	case *service.FrontierRecord:
+		r.frontier = rec
+	case *service.Summary:
+		return r.write(rec)
+	}
+	return nil
+}
+
+// nodes rebuilds a wire node list as a node set of block bi.
+func (r *textReport) nodes(bi int, elems []int) *isegen.BitSet {
+	s := isegen.NewBitSet(r.app.Blocks[bi].N())
+	for _, v := range elems {
+		s.Set(v)
+	}
+	return s
+}
+
+func vector(v service.ObjectiveVector) isegen.ObjectiveVector {
+	return isegen.ObjectiveVector{Merit: v.Merit, Area: v.Area, Energy: v.Energy}
+}
+
+func (r *textReport) write(sum *service.Summary) error {
+	// The stream groups selections by block; the report lists them in
+	// ISE (selection) order.
+	type blockSelection struct {
+		block *service.BlockResult
+		sel   service.Selection
+	}
+	var sels []blockSelection
+	for _, b := range r.blocks {
+		for _, sel := range b.Selections {
+			sels = append(sels, blockSelection{b, sel})
 		}
 	}
-
-	for i, sel := range sels {
-		fmt.Printf("ISE %d: block %q nodes %v\n", i+1, sel.Cut.Block.Name, sel.Cut.Nodes)
+	slices.SortFunc(sels, func(a, b blockSelection) int { return a.sel.ISE - b.sel.ISE })
+	for _, bs := range sels {
+		sel := bs.sel
+		fmt.Printf("ISE %d: block %q nodes %v\n", sel.ISE, bs.block.Name, r.nodes(bs.block.Block, sel.Nodes))
 		fmt.Printf("  io (%d,%d), swlat %d, afu cycles %d, merit %.0f, instances %d\n",
-			sel.Cut.NumIn, sel.Cut.NumOut, sel.Cut.SWLat, sel.Cut.HWCyclesInt(), sel.Cut.Merit(), len(sel.Instances))
-		if p.Objective != "" {
-			v := isegen.CutObjectiveVector(model, sel.Cut)
-			fmt.Printf("  objectives: %s\n", v)
+			sel.NumIn, sel.NumOut, sel.SWLat, sel.HWCycles, sel.Merit, len(sel.Instances))
+		if sel.Objectives != nil {
+			fmt.Printf("  objectives: %s\n", vector(*sel.Objectives))
 		}
 	}
-	if frontier != nil {
-		fmt.Printf("pareto frontier: %d non-dominated candidates (merit max, area min, energy max; * = selected)\n", frontier.Len())
-		for _, pt := range frontier.Points() {
+	for _, b := range r.blocks {
+		if b.Skipped != "" {
+			fmt.Printf("block %q skipped: %s\n", b.Name, b.Skipped)
+		}
+	}
+	if r.frontier != nil {
+		fmt.Printf("pareto frontier: %d non-dominated candidates (merit max, area min, energy max; * = selected)\n", len(r.frontier.Points))
+		for _, pt := range r.frontier.Points {
 			mark := " "
 			if pt.Selected {
 				mark = "*"
 			}
-			fmt.Printf(" %s block %d nodes %v: %s\n", mark, pt.Block, pt.Cut.Nodes, pt.Vector)
+			fmt.Printf(" %s block %d nodes %v: %s\n", mark, pt.Block, r.nodes(pt.Block, pt.Nodes), vector(pt.Objectives))
 		}
 	}
-	rep, err := isegen.Evaluate(app, model, sels)
+	fmt.Println(applicationLine(sum))
+	if r.dotFile == "" {
+		return nil
+	}
+	var cuts []*isegen.BitSet
+	for _, sel := range r.blocks[0].Selections {
+		cuts = append(cuts, r.nodes(0, sel.Nodes))
+	}
+	df, err := os.Create(r.dotFile)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("application: speedup %.3f, coverage %.1f%%, code size %d -> %d, energy %.1f%%\n",
-		rep.Speedup, 100*rep.Coverage, rep.StaticBefore, rep.StaticAfter, 100*rep.EnergyAfter/rep.EnergyBefore)
-
-	if dotFile != "" {
-		var cuts []*isegen.BitSet
-		for _, sel := range sels {
-			if sel.Cut.Block == app.Blocks[0] {
-				cuts = append(cuts, sel.Cut.Nodes)
-			}
-		}
-		df, err := os.Create(dotFile)
-		if err != nil {
-			return err
-		}
-		defer df.Close()
-		if err := isegen.WriteDOT(df, app.Blocks[0], cuts); err != nil {
-			return err
-		}
-		fmt.Println("wrote", dotFile)
+	if err := isegen.WriteDOT(df, r.app.Blocks[0], cuts); err != nil {
+		df.Close()
+		return err
 	}
+	if err := df.Close(); err != nil {
+		return err
+	}
+	fmt.Println("wrote", r.dotFile)
 	return nil
+}
+
+// applicationLine formats the whole-application report of a summary.
+func applicationLine(sum *service.Summary) string {
+	return fmt.Sprintf("application: speedup %.3f, coverage %.1f%%, code size %d -> %d, energy %.1f%%",
+		sum.Speedup, 100*sum.Coverage, sum.StaticBefore, sum.StaticAfter, 100*sum.EnergyRatio)
 }

@@ -4,15 +4,20 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dfgio"
 	"repro/internal/kernels"
+	"repro/internal/search"
+	"repro/internal/service"
 )
 
 // runMainEnv makes the test binary act as the isegen command: TestMain
@@ -40,7 +45,8 @@ type isegenRun struct {
 func runIsegen(t *testing.T, args ...string) isegenRun {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	// Under -race every child would otherwise sleep a second at exit.
+	cmd.Env = append(os.Environ(), runMainEnv+"=1", "GORACE="+os.Getenv("GORACE")+" atexit_sleep_ms=0")
 	var out, errOut bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errOut
 	err := cmd.Run()
@@ -262,6 +268,70 @@ func TestTextOutputGoldenHashes(t *testing.T) {
 		}
 		if got := digest(b); got != dotGoldens[name] {
 			t.Errorf("%s: dot digest %s, want %s", name, got, dotGoldens[name])
+		}
+	}
+}
+
+// TestTextMatchesJSON requires the text report to state the same result as
+// the -json stream for every engine: the same application line, one ISE
+// entry per selection, and a skipped line for every block the engine did
+// not run on.
+func TestTextMatchesJSON(t *testing.T) {
+	files := kernelFiles(t)
+	// fft00's 104-node butterfly block exceeds the node limit of the
+	// exact engines (25 for exact and racing, 100 for iterative).
+	wantSkip := map[string]bool{"exact": true, "iterative": true, "racing": true}
+	for _, algo := range search.Names() {
+		for _, kernel := range []string{"viterb00", "fft00"} {
+			key := algo + "/" + kernel
+			text := runIsegen(t, "-algo", algo, files[kernel])
+			if text.code != 0 {
+				t.Errorf("%s: text run exit %d: %s", key, text.code, text.stderr)
+				continue
+			}
+			js := runIsegen(t, "-json", "-algo", algo, files[kernel])
+			if js.code != 0 {
+				t.Fatalf("%s: -json run exit %d: %s", key, js.code, js.stderr)
+			}
+			var sum service.Summary
+			var skipped []string
+			for _, line := range strings.Split(strings.TrimSpace(js.stdout), "\n") {
+				var rec service.BlockResult
+				if err := json.Unmarshal([]byte(line), &rec); err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				switch rec.Type {
+				case "block":
+					if rec.Skipped != "" {
+						skipped = append(skipped, fmt.Sprintf("block %q skipped: %s", rec.Name, rec.Skipped))
+					}
+				case "summary":
+					if err := json.Unmarshal([]byte(line), &sum); err != nil {
+						t.Fatalf("%s: %v", key, err)
+					}
+				}
+			}
+			lines := strings.Split(strings.TrimSuffix(text.stdout, "\n"), "\n")
+			if got, want := lines[len(lines)-1], applicationLine(&sum); got != want {
+				t.Errorf("%s: text reports %q, -json %q", key, got, want)
+			}
+			ises := 0
+			for _, line := range lines {
+				if strings.HasPrefix(line, "ISE ") {
+					ises++
+				}
+			}
+			if ises != sum.ISEs {
+				t.Errorf("%s: text lists %d ISEs, -json %d", key, ises, sum.ISEs)
+			}
+			if kernel == "fft00" && wantSkip[algo] != (len(skipped) > 0) {
+				t.Errorf("%s: -json skipped blocks %q, want a skip: %t", key, skipped, wantSkip[algo])
+			}
+			for _, line := range skipped {
+				if !slices.Contains(lines, line) {
+					t.Errorf("%s: text report lacks %q", key, line)
+				}
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -296,6 +297,40 @@ func TestMultiCutAtLeastIterative(t *testing.T) {
 		if mTot < iTot-1e-9 {
 			t.Fatalf("trial %d: multi %v < iterative %v", trial, mTot, iTot)
 		}
+	}
+}
+
+// A block of n nodes holds at most n disjoint cuts, so an AFU budget far
+// beyond n must return the same cuts as nise = n without allocating
+// per-slot state for every requested slot.
+func TestMultiCutHugeNISEBoundedAlloc(t *testing.T) {
+	blk := randKernelBlock(rand.New(rand.NewSource(2)), 10)
+	n := blk.N()
+	multiCut := func(nise int) ([]*core.Cut, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cuts, err := MultiCut(blk, defaultOpts(), nise)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("nise %d: %v", nise, err)
+		}
+		return cuts, after.TotalAlloc - before.TotalAlloc
+	}
+	want, wantAlloc := multiCut(n)
+	got, gotAlloc := multiCut(1 << 16)
+	if len(want) < 2 {
+		t.Fatalf("nise %d: %d cuts, want a multi-cut answer", n, len(want))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("nise 1<<16: %d cuts, nise %d: %d", len(got), n, len(want))
+	}
+	for i := range want {
+		if !got[i].Nodes.Equal(want[i].Nodes) {
+			t.Errorf("cut %d: nise 1<<16 %v, nise %d %v", i, got[i].Nodes, n, want[i].Nodes)
+		}
+	}
+	if gotAlloc > 2*wantAlloc {
+		t.Errorf("nise 1<<16 allocated %d bytes, nise %d only %d", gotAlloc, n, wantAlloc)
 	}
 }
 

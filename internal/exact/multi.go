@@ -161,6 +161,12 @@ func MultiCutContext(ctx context.Context, blk *ir.Block, opt Options, nise int) 
 	if err := checkOptions(&opt, blk); err != nil {
 		return nil, err
 	}
+	// Symmetry breaking opens only the first empty slot, and a block of n
+	// nodes fills at most n slots, so slots past n are never touched: the
+	// clamp bounds the per-slot state without changing the answer.
+	if n := blk.N(); n > 0 && nise > n {
+		nise = n
+	}
 	ctx, sp := obs.StartSpan(ctx, obs.KindSearch, "multi-cut")
 	defer sp.End()
 	sh := newSharedBound(ctx, opt.Budget, opt.Bound)

@@ -297,8 +297,8 @@ func SearchEngineNames() []string { return search.Names() }
 // otherwise).
 func DefaultNodeLimit(name string) int { return search.DefaultNodeLimit(name) }
 
-// DefaultSearchBudget is the standard exact-search node budget shared by
-// the CLI, the serving layer and the experiment harnesses.
+// DefaultSearchBudget is the standard exact-search node budget the
+// serving layer and the experiment harnesses use.
 const DefaultSearchBudget = search.DefaultBudget
 
 // MeritObjective is the paper's objective: highest-merit candidate wins.
