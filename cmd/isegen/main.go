@@ -41,10 +41,10 @@
 //
 // -json switches to the machine-readable NDJSON result stream — the same
 // schema and byte-for-byte output as the isegend service, so offline and
-// served runs are diffable. An
-// explicit -objective extends each selection record with its objective
-// vector; -objective pareto adds a "frontier" record. Without -objective
-// the stream is bit-identical to the pre-objective schema.
+// served runs are diffable. An explicit -objective extends each selection
+// record with its objective vector; -objective pareto adds a "frontier"
+// record. Without -objective the stream is bit-identical to the
+// pre-objective schema.
 // -cache-dir persists cut costings across runs (keyed by canonical block
 // hash), making repeated sweeps over the same file near-free.
 //
