@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 )
@@ -37,46 +38,29 @@ var workCounters = []string{
 	"exact_subtree_tasks", "genetic_evaluations", "cache_misses",
 }
 
-// counterWarnings compares a suite's work-counter deltas against the
-// baseline, returning one warning line per counter that grew past
-// counterWarnPct. Files without counters (older schema-1 baselines) are
-// silently ungated — both sides must carry a counter for it to be
-// compared.
-func counterWarnings(base, fresh map[string]int64) []string {
-	var warns []string
+// counterChanges compares a suite's work-counter deltas against the
+// baseline and returns one line per counter that grew past counterWarnPct
+// (a warning) and one per counter that shrank past it (reported, not left
+// silent, so a perf PR's counter win shows in the gate output, and a
+// forgotten re-baseline after one shows as a wall of improvements). Files
+// without counters (older schema-1 baselines) are silently ungated: both
+// sides must carry a counter for it to be compared.
+func counterChanges(base, fresh map[string]int64) (grew, shrank []string) {
 	for _, name := range workCounters {
 		b, okB := base[name]
 		f, okF := fresh[name]
 		if !okB || !okF || b <= 0 {
 			continue
 		}
-		if f > b+b*counterWarnPct/100 {
-			warns = append(warns, fmt.Sprintf("%s %d -> %d (%+.1f%%, warn at +%d%%)",
-				name, b, f, pctDelta(float64(f), float64(b)), counterWarnPct))
+		change := fmt.Sprintf("%s %d -> %d (%+.1f%%", name, b, f, pctDelta(float64(f), float64(b)))
+		switch {
+		case f > b+b*counterWarnPct/100:
+			grew = append(grew, fmt.Sprintf("%s, warn at +%d%%)", change, counterWarnPct))
+		case f < b-b*counterWarnPct/100:
+			shrank = append(shrank, change+")")
 		}
 	}
-	return warns
-}
-
-// counterImprovements is counterWarnings' mirror: work counters that
-// shrank past counterWarnPct. Reported (not merely stayed silent on) so a
-// perf PR's counter win shows up in the gate output — and so a forgotten
-// re-baseline after such a PR is visible as a wall of improvement lines
-// instead of nothing.
-func counterImprovements(base, fresh map[string]int64) []string {
-	var wins []string
-	for _, name := range workCounters {
-		b, okB := base[name]
-		f, okF := fresh[name]
-		if !okB || !okF || b <= 0 {
-			continue
-		}
-		if f < b-b*counterWarnPct/100 {
-			wins = append(wins, fmt.Sprintf("%s %d -> %d (%+.1f%%)",
-				name, b, f, pctDelta(float64(f), float64(b))))
-		}
-	}
-	return wins
+	return grew, shrank
 }
 
 // loadBenchFile reads one BENCH_<rev>.json.
@@ -109,13 +93,14 @@ func allocLimit(name string, base uint64) uint64 {
 }
 
 // runBenchDiff is the `isebench -diff` gate: compare a freshly measured
-// benchmark file against the tracked baseline, suite by suite. Allocation
-// regressions fail (allocs are deterministic modulo the slack above);
-// ns/op regressions past nsTol (a ratio, e.g. 0.5 = +50%) only warn, since
-// wall-clock depends on the machine the gate runs on. A suite present in
-// the baseline but missing from the fresh file fails — silently dropping a
-// measurement would hide exactly the regression the gate exists to catch.
-func runBenchDiff(basePath, freshPath string, nsTol float64) error {
+// benchmark file against the tracked baseline, suite by suite, and write
+// the report to w. Allocation regressions fail (allocs are deterministic
+// modulo the slack above); ns/op regressions past nsTol (a ratio, e.g.
+// 0.5 = +50%) only warn, since wall-clock depends on the machine the gate
+// runs on. A suite present in the baseline but missing from the fresh
+// file fails — silently dropping a measurement would hide exactly the
+// regression the gate exists to catch.
+func runBenchDiff(w io.Writer, basePath, freshPath string, nsTol float64) error {
 	base, err := loadBenchFile(basePath)
 	if err != nil {
 		return err
@@ -128,7 +113,7 @@ func runBenchDiff(basePath, freshPath string, nsTol float64) error {
 	for _, r := range fresh.Benches {
 		freshBy[r.Name] = r
 	}
-	fmt.Printf("bench-diff: %s (rev %s, %d cpus) vs %s (rev %s, %d cpus)\n",
+	fmt.Fprintf(w, "bench-diff: %s (rev %s, %d cpus) vs %s (rev %s, %d cpus)\n",
 		freshPath, fresh.Rev, fresh.CPUs, basePath, base.Rev, base.CPUs)
 	// On a 1-CPU machine the parallel suites degenerate to their sequential
 	// twins: fan-out buys nothing, so a /par ns/op sitting on top of /seq is
@@ -141,7 +126,7 @@ func runBenchDiff(basePath, freshPath string, nsTol float64) error {
 	for _, b := range base.Benches {
 		f, ok := freshBy[b.Name]
 		if !ok {
-			fmt.Printf("FAIL %-24s missing from %s\n", b.Name, freshPath)
+			fmt.Fprintf(w, "FAIL %-24s missing from %s\n", b.Name, freshPath)
 			failures++
 			continue
 		}
@@ -160,20 +145,20 @@ func runBenchDiff(basePath, freshPath string, nsTol float64) error {
 		}
 		// Work-counter regressions warn even when ns/op is in tolerance:
 		// wall-clock noise can mask an engine quietly exploring more nodes.
-		cwarns := counterWarnings(b.Counters, f.Counters)
+		cwarns, cwins := counterChanges(b.Counters, f.Counters)
 		if status == "ok  " && len(cwarns) > 0 {
 			status = "WARN"
 		}
-		fmt.Printf("%s %-24s %12d ns/op (%+6.1f%%) %10d allocs/op (%+6.1f%%)%s\n",
+		fmt.Fprintf(w, "%s %-24s %12d ns/op (%+6.1f%%) %10d allocs/op (%+6.1f%%)%s\n",
 			status, b.Name,
 			f.NsPerOp, pctDelta(float64(f.NsPerOp), float64(b.NsPerOp)),
 			f.AllocsPerOp, pctDelta(float64(f.AllocsPerOp), float64(b.AllocsPerOp)),
 			detail)
 		for _, cw := range cwarns {
-			fmt.Printf("     %-24s work counter regressed: %s\n", "", cw)
+			fmt.Fprintf(w, "     %-24s work counter regressed: %s\n", "", cw)
 		}
-		for _, ci := range counterImprovements(b.Counters, f.Counters) {
-			fmt.Printf("     %-24s work counter improved: %s (re-baseline to lock in)\n", "", ci)
+		for _, ci := range cwins {
+			fmt.Fprintf(w, "     %-24s work counter improved: %s (re-baseline to lock in)\n", "", ci)
 		}
 	}
 	// The mirror direction: a fresh suite with no baseline entry is not
@@ -185,7 +170,7 @@ func runBenchDiff(basePath, freshPath string, nsTol float64) error {
 	}
 	for _, f := range fresh.Benches {
 		if !baseBy[f.Name] {
-			fmt.Printf("WARN %-24s not in %s: ungated; re-baseline to start tracking it\n", f.Name, basePath)
+			fmt.Fprintf(w, "WARN %-24s not in %s: ungated; re-baseline to start tracking it\n", f.Name, basePath)
 		}
 	}
 	if failures > 0 {

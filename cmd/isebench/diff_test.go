@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,24 +28,11 @@ func writeBenchFile(t *testing.T, dir, name string, cpus int) string {
 // diffOutput runs runBenchDiff and returns what it printed.
 func diffOutput(t *testing.T, basePath, freshPath string) string {
 	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
+	var out strings.Builder
+	if err := runBenchDiff(&out, basePath, freshPath, 1.0); err != nil {
 		t.Fatal(err)
 	}
-	stdout := os.Stdout
-	os.Stdout = w
-	out := make(chan string)
-	go func() {
-		b, _ := io.ReadAll(r)
-		out <- string(b)
-	}()
-	diffErr := runBenchDiff(basePath, freshPath, 1.0)
-	os.Stdout = stdout
-	w.Close()
-	if diffErr != nil {
-		t.Fatal(diffErr)
-	}
-	return <-out
+	return out.String()
 }
 
 // TestBenchDiffParityNoteFollowsFreshCPUs pins the /par parity note to the

@@ -11,11 +11,13 @@
 //	isebench -sim       only the cycle-level simulation validation
 //	isebench -energy    only the code-size / energy table
 //	isebench -area      only the AFU area-budget study
-//	isebench -json      measure the Figure 4/6 suites (ns/op, allocs/op,
-//	                    engine work-counter deltas; sequential vs parallel)
-//	                    and write BENCH_<rev>.json — the repository's
-//	                    tracked perf trajectory; the checked-in
-//	                    BENCH_baseline.json is one such file
+//	isebench -json      measure every suite of experiments.Suites (the
+//	                    Figure 4/6 table go test -bench also runs: ns/op,
+//	                    allocs/op, engine work-counter deltas) and write
+//	                    BENCH_<rev>.json — the repository's tracked perf
+//	                    trajectory; the checked-in BENCH_baseline.json is
+//	                    one such file; a failing suite exits 1, naming the
+//	                    suite
 //	isebench -diff BENCH_baseline.json BENCH_<rev>.json
 //	                    gate a fresh measurement against the baseline:
 //	                    exits non-zero when any suite's allocs/op regressed
@@ -47,7 +49,7 @@ func main() {
 		energy   = flag.Bool("energy", false, "run only the code-size/energy table")
 		area     = flag.Bool("area", false, "run only the AFU area-budget study")
 		workers  = flag.Int("workers", 0, "worker pool size (0 = one per CPU core; results are identical)")
-		jsonOut  = flag.Bool("json", false, "measure the Figure 4/6 suites (sequential vs parallel, -benchtime=1x protocol) and write BENCH_<rev>.json instead of the tables")
+		jsonOut  = flag.Bool("json", false, "measure the Figure 4/6 suite table (-benchtime=1x protocol) and write BENCH_<rev>.json instead of the tables")
 		benchRev = flag.String("rev", "", "revision label for -json (default: the current git commit)")
 		benchOut = flag.String("out", "", `output path for -json ("-" = stdout; default BENCH_<rev>.json)`)
 		diffMode = flag.Bool("diff", false, "compare two BENCH json files (baseline fresh): exit non-zero on allocs/op regressions, warn on ns/op past -ns-tol")
@@ -63,7 +65,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "isebench: -diff needs two arguments: <baseline.json> <fresh.json>")
 			os.Exit(2)
 		}
-		if err := runBenchDiff(flag.Arg(0), flag.Arg(1), *nsTol); err != nil {
+		if err := runBenchDiff(os.Stdout, flag.Arg(0), flag.Arg(1), *nsTol); err != nil {
 			fmt.Fprintln(os.Stderr, "isebench:", err)
 			os.Exit(1)
 		}

@@ -81,7 +81,7 @@ func main() {
 		queueCap   = flag.Int("queue", 64, "bounded FIFO capacity; further submissions get 503")
 		jobs       = flag.Int("jobs", 2, "jobs executed concurrently (queue workers)")
 		budget     = flag.Int("tenant-budget", 1, "max concurrently running jobs per tenant")
-		workers    = flag.Int("workers", 0, "per-job search worker pool bound (0 = one per CPU core)")
+		workers    = flag.Int("workers", 0, "per-job bound on both search worker pools, workers and subtree_workers (0 = one per CPU core)")
 		cacheDir   = flag.String("cache-dir", "", "persist cut costings under this directory (empty = memory only)")
 		cacheBytes = flag.Int64("cache-bytes", search.DefaultStoreBytes, "disk cache size bound in bytes (LRU-evicted; negative = unbounded)")
 		maxBody    = flag.Int64("max-body", 16<<20, "maximum upload size in bytes")

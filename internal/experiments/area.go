@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -31,7 +32,7 @@ func AreaStudy(o Options, budgets []float64) ([]AreaRow, error) {
 	for _, spec := range specs {
 		oo := o
 		oo.NISE = 8 // generous candidate pool for the knapsack
-		sels, err := selectionsWithReuse(spec.App, oo, nil)
+		sels, err := selectionsWithReuse(context.Background(), spec.App, oo, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", spec.Name, err)
 		}

@@ -11,6 +11,9 @@ func TestFigure4ShapesHold(t *testing.T) {
 		t.Skip("full Figure 4 run in -short mode")
 	}
 	o := DefaultOptions()
+	// One cell at a time: the runtime checks below compare microsecond
+	// runs, which cells competing for the same cores would distort.
+	o.Workers = 1
 	rows := Figure4(o)
 	if len(rows) != 7 {
 		t.Fatalf("got %d rows, want 7", len(rows))

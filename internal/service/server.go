@@ -30,8 +30,9 @@ type Config struct {
 	// (default 1): a heavy tenant queues behind itself while other
 	// tenants' jobs overtake.
 	TenantBudget int
-	// RunnerWorkers bounds each job's search worker pool (0 = one per
-	// CPU core; results are identical for every value).
+	// RunnerWorkers bounds each job's search worker pool and in-block
+	// subtree pool (0 = one per CPU core; results are identical for
+	// every value).
 	RunnerWorkers int
 	// Cache is the shared cut-costing cache; default is a content-keyed
 	// memory-only persistent cache (NewPersistentCostCache(nil)), so
@@ -296,6 +297,22 @@ func tenantOf(r *http.Request) string {
 	return "default"
 }
 
+// boundWorkers caps both of a job's worker pools at limit (0 = one per
+// CPU core). Workers <= 0 and subtree_workers -1 resolve to the bound;
+// results are identical for every value.
+func boundWorkers(p Params, limit int) Params {
+	if limit <= 0 {
+		limit = runtime.GOMAXPROCS(0)
+	}
+	if p.Workers <= 0 || p.Workers > limit {
+		p.Workers = limit
+	}
+	if p.SubtreeWorkers < 0 || p.SubtreeWorkers > limit {
+		p.SubtreeWorkers = limit
+	}
+	return p
+}
+
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST a .dfg body to this endpoint")
@@ -332,11 +349,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// The server's RunnerWorkers bound, when set, caps (and defaults)
-	// the per-job pool; results are identical for every value.
-	if s.cfg.RunnerWorkers > 0 && (p.Workers <= 0 || p.Workers > s.cfg.RunnerWorkers) {
-		p.Workers = s.cfg.RunnerWorkers
-	}
+	p = boundWorkers(p, s.cfg.RunnerWorkers)
 
 	var wrote bool // any stream bytes committed? (read after job.Done)
 	flusher, _ := w.(http.Flusher)

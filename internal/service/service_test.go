@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -565,6 +566,23 @@ func TestServiceSubtreeWorkersParam(t *testing.T) {
 	} {
 		if status, body := postSelect(t, ts, dfg, q); status != http.StatusBadRequest {
 			t.Fatalf("%s: status %d (%s), want 400", q, status, body)
+		}
+	}
+}
+
+// TestBoundWorkers pins the server's cap on both per-job pools. It only
+// resolves Params values; no job runs, so no large pool is started.
+func TestBoundWorkers(t *testing.T) {
+	cores := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ bound, in, workers, subtree int }{
+		{3, -1, 3, 3}, {3, 0, 3, 0}, {3, 1, 1, 1}, {3, 3, 3, 3}, {3, 4, 3, 3}, {3, 1 << 20, 3, 3},
+		// Bound 0 (isegend -workers 0) is one per CPU core.
+		{0, -1, cores, cores}, {0, 0, cores, 0}, {0, 1 << 20, cores, cores},
+	} {
+		got := boundWorkers(Params{Workers: tc.in, SubtreeWorkers: tc.in}, tc.bound)
+		if got.Workers != tc.workers || got.SubtreeWorkers != tc.subtree {
+			t.Errorf("bound %d, workers=subtree_workers=%d: got (%d, %d), want (%d, %d)",
+				tc.bound, tc.in, got.Workers, got.SubtreeWorkers, tc.workers, tc.subtree)
 		}
 	}
 }

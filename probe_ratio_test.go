@@ -2,13 +2,11 @@ package isegen_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/kernels"
-	"repro/internal/latency"
+	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/search"
 )
 
 // maxProbesPerToggle pins the amortized cost of the K-L candidate-gain
@@ -30,15 +28,15 @@ func TestFigure4ProbeToggleRatio(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Figure 4 suite")
 	}
-	model := latency.Default()
 	rec := obs.NewRecorder(0)
 	ctx := obs.WithRecorder(context.Background(), rec)
-	r := &search.Runner{Workers: 1, Cache: search.NewCostCache()}
-	for _, spec := range kernels.All() {
-		cfg := core.DefaultConfig()
-		if _, _, err := r.GenerateContext(ctx, spec.App, cfg, search.Merit(model), nil); err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
-		}
+	suites := experiments.Suites()
+	i := slices.IndexFunc(suites, func(s experiments.Suite) bool { return s.Name == "figure4/isegen/seq" })
+	if i < 0 {
+		t.Fatal("experiments.Suites has no figure4/isegen/seq")
+	}
+	if err := suites[i].Run(ctx); err != nil {
+		t.Fatal(err)
 	}
 	counters := rec.Counters().Map()
 	probes, toggles := counters["kl_probes"], counters["kl_toggles"]
